@@ -3,8 +3,10 @@ package cuszhi
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
+	"repro/internal/bitio"
 	"repro/internal/core"
 	"repro/internal/gpusim"
 )
@@ -227,6 +229,9 @@ func FuzzDecompress(f *testing.F) {
 		f.Add(blob[:len(blob)-core.IndexTailLen+3]) // tail cut mid-magic
 	}
 
+	// A v1 container whose outlier codes have no outlier values.
+	f.Add(v1EmptiedOutliers(f))
+
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		recon, dims, err := Decompress(blob) // must never panic
 		if err != nil {
@@ -243,4 +248,62 @@ func FuzzDecompress(f *testing.F) {
 			t.Fatalf("nil error but %d values for dims %v", len(recon), dims)
 		}
 	})
+}
+
+// v1EmptiedOutliers compresses a spiky field, whose interpolation codes
+// include outliers, into a v1 container and returns it with the outlier
+// section replaced by an empty one.
+func v1EmptiedOutliers(tb testing.TB) []byte {
+	data := make([]float32, 6*8*8)
+	for i := range data {
+		data[i] = float32(i%19) * 0.25
+		if i%37 == 5 {
+			data[i] = 1e6
+		}
+	}
+	c, err := New(ModeTP)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	blob, err := c.CompressAbs(data, []int{6, 8, 8}, 0.05)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// Walk the v1 interpolation layout to the outlier section: magic,
+	// version, predictor, rank, dims, bound, pipeline, reorder flag, anchor
+	// stride, three block extents, level count, two bytes per level, anchor
+	// byte count, anchors.
+	off := 6
+	uv := func() int {
+		v, n := bitio.Uvarint(blob[off:])
+		off += n
+		return int(v)
+	}
+	for rank := uv(); rank > 0; rank-- {
+		uv()
+	}
+	off += 8 + 2
+	for i := 0; i < 4; i++ {
+		uv()
+	}
+	off += 2 * uv()
+	off += uv()
+	start := off
+	count := uv()
+	if count == 0 {
+		tb.Fatal("the spiky field stored no outliers")
+	}
+	for i := 0; i < count; i++ {
+		uv()
+	}
+	off += 4 * count
+	return append(append(blob[:start:start], 0), blob[off:]...)
+}
+
+// TestEmptiedOutlierSectionIsCorrupt: an outlier code whose value is
+// missing from the outlier list must fail the decode, not turn into 0.
+func TestEmptiedOutlierSectionIsCorrupt(t *testing.T) {
+	if _, _, err := Decompress(v1EmptiedOutliers(t)); !errors.Is(err, core.ErrCorrupt) {
+		t.Fatalf("decode error %v, want core.ErrCorrupt", err)
+	}
 }

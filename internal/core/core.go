@@ -568,7 +568,9 @@ func decompressInterp(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, off int, 
 	res := &interp.Result{Codes: codes, Anchors: anchors, Outliers: &outliers}
 	recon, err := interp.DecompressCtx(ctx, dev, res, g, cfg, eb)
 	if err != nil {
-		return nil, nil, err
+		// Everything DecompressCtx rejects came off the wire, such as an
+		// outlier code whose value the outlier section lacks.
+		return nil, nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return recon, dims, nil
 }

@@ -1,18 +1,25 @@
 package interp
 
+import (
+	"math"
+	"slices"
+)
+
 // This file contains the per-block interpolation engine shared by
 // compression, decompression and auto-tuning. A block covers the inclusive
 // coordinate ranges [lo, hi] per dimension (neighbouring blocks share their
 // boundary faces, like the CUDA shared-memory chunks of Fig. 1/3), keeps a
-// local reconstruction buffer, and walks the levels coarse-to-fine. The
-// visit callback decides what happens at each predicted point
-// (quantize-and-store for compression, apply-code for decompression,
-// accumulate-error for tuning).
+// local reconstruction buffer, and walks the levels coarse-to-fine. Each
+// stride-row of new points is predicted as a whole and handed to a row
+// sink, which decides what happens to it (quantize-and-store for
+// compression, apply-codes for decompression, accumulate-error for
+// tuning).
 
-// Batched selects the fused stride-row prediction kernels (the default).
-// The per-point scalar path stays selectable so the equivalence property
-// tests can assert byte-identical codes, outliers and reconstructions
-// between the two. Toggle only from tests, before any launch.
+// Batched selects the stride-row prediction kernel (the default). The
+// per-point scalar predict path stays selectable so the equivalence
+// property tests can assert byte-identical codes, outliers and
+// reconstructions between the two. Toggle only from tests, before any
+// launch.
 var Batched = true
 
 // dimClass constrains one coordinate of a phase's point set.
@@ -76,9 +83,11 @@ type block struct {
 	ohi     [3]int // exclusive upper owner bounds
 	ext     [3]int // local extents (hi-lo+1)
 	buf     []float32
-	preds   []float32 // row-kernel prediction scratch (one stride-row)
-	anchors []float32 // dense global anchor grid
-	az      [3]int    // anchor grid dims
+	preds   []float32  // one stride-row's predictions, then reconstructions
+	codes   []uint8    // one stride-row's quant codes (compression)
+	terms   [3]rowTerm // the current row's contributing directions
+	anchors []float32  // dense global anchor grid
+	az      [3]int     // anchor grid dims
 }
 
 // blockGrid computes the number of blocks per dimension.
@@ -119,6 +128,11 @@ func (b *block) initBlock(g Grid, cfg *Config, bz, by, bx int) {
 		b.buf = make([]float32, need)
 	} else {
 		b.buf = b.buf[:need]
+	}
+	// A stride-row holds at most ext[2] points.
+	if cap(b.preds) < b.ext[2] {
+		b.preds = make([]float32, b.ext[2])
+		b.codes = make([]uint8, b.ext[2])
 	}
 }
 
@@ -267,90 +281,192 @@ func (b *block) predict(gz, gy, gx, idx, s int, dims []int, spline Spline) float
 	return sum / float32(cnt)
 }
 
-// predictRowCubic fills preds with the order-3 interior predictions for a
-// whole stride-row: point i sits at buffer index idx0 + i*xstep, and every
-// interpolation direction in dims has all four cubic neighbours inside the
-// block (the caller guarantees it). Accumulation starts from an explicit
-// zero fill and runs dims in order, then divides by the direction count —
-// the exact float op order of predict's interior fast path, so the results
-// are bit-identical.
+// stencil names one direction's interpolation formula: the case interp1
+// picks from which of the -3s, -s, +s, +3s neighbours (a, p, q, d) exist.
+type stencil uint8
+
+const (
+	stCubic   stencil = iota // (-a + 9p + 9q - d) / 16, order 3
+	stQuadA                  // (-a + 6p + 3q) / 8, order 2
+	stQuadD                  // (3p + 6q - d) / 8, order 2
+	stLinear                 // (p + q) / 2, order 1
+	stExtrapP                // (3p - a) / 2, order 0
+	stCopyP                  // p, order 0
+	stExtrapQ                // (3q - d) / 2, order 0
+	stCopyQ                  // q, order 0
+	stNone                   // 0, order 0
+)
+
+// stencilFor mirrors interp1's case analysis: it returns the formula
+// interp1 evaluates for these availability flags, and its spline order.
+func stencilFor(ha, hp, hq, hd bool, spline Spline) (stencil, int) {
+	switch {
+	case hp && hq:
+		if spline == Cubic {
+			switch {
+			case ha && hd:
+				return stCubic, 3
+			case ha:
+				return stQuadA, 2
+			case hd:
+				return stQuadD, 2
+			}
+		}
+		return stLinear, 1
+	case hp:
+		if ha {
+			return stExtrapP, 0
+		}
+		return stCopyP, 0
+	case hq:
+		if hd {
+			return stExtrapQ, 0
+		}
+		return stCopyQ, 0
+	}
+	return stNone, 0
+}
+
+// rowTerm is one direction's share of a stride-row prediction: the buffer
+// offset of its ±s neighbours and its formula.
+type rowTerm struct {
+	off  int
+	kind stencil
+}
+
+// negZero starts predict's general-path accumulation: -0 + v == v for
+// every v, so adding the first term to it is the same as assigning it.
+var negZero = math.Float32frombits(1 << 31)
+
+// rowTerms returns the directions that predict averages along the row
+// segment at (z, y): each direction's formula follows from its neighbour
+// availability (x, when interpolated, has all its neighbours inside the
+// block along the segment), and only the directions of the highest order
+// contribute, in phase order. It also returns the accumulator's start
+// value: +0 when every direction is full cubic (predict's interior fast
+// path), else -0.
+func (b *block) rowTerms(z, y, s int, dims []int, spline Spline) (float32, []rowTerm) {
+	st := b.strides()
+	gc := [3]int{z, y, 0}
+	var kinds [3]stencil
+	var orders [3]int
+	best := -1
+	allCubic := true
+	for k, d := range dims {
+		ha, hp, hq, hd := true, true, true, true
+		if d != 2 {
+			c := gc[d]
+			ha, hp = c-3*s >= b.lo[d], c-s >= b.lo[d]
+			hq, hd = c+s <= b.hi[d], c+3*s <= b.hi[d]
+		}
+		kinds[k], orders[k] = stencilFor(ha, hp, hq, hd, spline)
+		best = max(best, orders[k])
+		allCubic = allCubic && kinds[k] == stCubic
+	}
+	nt := 0
+	for k, d := range dims {
+		if orders[k] == best {
+			b.terms[nt] = rowTerm{off: s * st[d], kind: kinds[k]}
+			nt++
+		}
+	}
+	if allCubic {
+		return 0, b.terms[:nt]
+	}
+	return negZero, b.terms[:nt]
+}
+
+// predictRow fills preds with the predictions of a stride-row segment:
+// point i sits at buffer index idx0 + i*xstep, and terms (from rowTerms)
+// apply unchanged to every point of the segment. Each prediction starts at
+// init, adds the terms in order and is divided by their count (dividing a
+// sum by 1 changes no bits, so one term skips it): the float op sequence of
+// predict, so the results are bit-identical.
 //
 //cuszhi:hotpath
-func (b *block) predictRowCubic(preds []float32, idx0, xstep, s int, dims []int) {
-	st := b.strides()
+func (b *block) predictRow(preds []float32, idx0, xstep int, init float32, terms []rowTerm) {
 	buf := b.buf
 	n := len(preds)
 	preds = preds[:n:n]
-	clear(preds)
-	for _, d := range dims {
-		off1 := s * st[d]
-		off3 := 3 * off1
-		pa := idx0 - off3
-		pp := idx0 - off1
-		pq := idx0 + off1
-		pd := idx0 + off3
-		for i := 0; i < n; i++ {
-			preds[i] += (-buf[pa] + 9*buf[pp] + 9*buf[pq] - buf[pd]) * (1.0 / 16)
-			pa += xstep
-			pp += xstep
-			pq += xstep
-			pd += xstep
+	for i := range preds {
+		preds[i] = init
+	}
+	for _, t := range terms {
+		o1, o3 := t.off, 3*t.off
+		j := idx0
+		switch t.kind {
+		case stCubic:
+			for i := range preds {
+				preds[i] += (-buf[j-o3] + 9*buf[j-o1] + 9*buf[j+o1] - buf[j+o3]) / 16
+				j += xstep
+			}
+		case stQuadA:
+			for i := range preds {
+				preds[i] += (-buf[j-o3] + 6*buf[j-o1] + 3*buf[j+o1]) / 8
+				j += xstep
+			}
+		case stQuadD:
+			for i := range preds {
+				preds[i] += (3*buf[j-o1] + 6*buf[j+o1] - buf[j+o3]) / 8
+				j += xstep
+			}
+		case stLinear:
+			for i := range preds {
+				preds[i] += (buf[j-o1] + buf[j+o1]) / 2
+				j += xstep
+			}
+		case stExtrapP:
+			for i := range preds {
+				preds[i] += (3*buf[j-o1] - buf[j-o3]) / 2
+				j += xstep
+			}
+		case stCopyP:
+			for i := range preds {
+				preds[i] += buf[j-o1]
+				j += xstep
+			}
+		case stExtrapQ:
+			for i := range preds {
+				preds[i] += (3*buf[j+o1] - buf[j+o3]) / 2
+				j += xstep
+			}
+		case stCopyQ:
+			for i := range preds {
+				preds[i] += buf[j+o1]
+				j += xstep
+			}
+		default: // stNone
+			for i := range preds {
+				preds[i] += 0
+			}
 		}
 	}
-	if len(dims) > 1 {
-		nf := float32(len(dims))
-		for i := 0; i < n; i++ {
+	if len(terms) > 1 {
+		nf := float32(len(terms))
+		for i := range preds {
 			preds[i] /= nf
 		}
 	}
 }
 
-// predictRowLinear is predictRowCubic's order-1 sibling: both ±s
-// neighbours of every direction are inside the block. The first direction
-// assigns and later ones accumulate, mirroring the best-order bookkeeping
-// of the scalar general path (which all-interior linear rows collapse to).
-//
-//cuszhi:hotpath
-func (b *block) predictRowLinear(preds []float32, idx0, xstep, s int, dims []int) {
-	st := b.strides()
-	buf := b.buf
-	n := len(preds)
-	preds = preds[:n:n]
-	for di, d := range dims {
-		off := s * st[d]
-		pp := idx0 - off
-		pq := idx0 + off
-		if di == 0 {
-			for i := 0; i < n; i++ {
-				preds[i] = (buf[pp] + buf[pq]) / 2
-				pp += xstep
-				pq += xstep
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				preds[i] += (buf[pp] + buf[pq]) / 2
-				pp += xstep
-				pq += xstep
-			}
-		}
-	}
-	if len(dims) > 1 {
-		nf := float32(len(dims))
-		for i := 0; i < n; i++ {
-			preds[i] /= nf
-		}
-	}
-}
-
-// visitFunc handles one predicted point: it receives the global coords,
-// the prediction, and whether this block owns the point; it returns the
-// reconstructed value to store in buf.
-type visitFunc func(z, y, x int, pred float32, owned bool) float32
+// rowSink consumes one stride-row of predicted points. Point i sits at
+// global coords (z, y, x0+i*xstep) with prediction preds[i]. The block owns
+// exactly the first nOwn points: ownership along x is x < ohi[2], so owned
+// points always form a prefix. The sink replaces every preds[i] with the
+// point's reconstruction, which runLevel then stores in the block buffer.
+type rowSink func(z, y, x0, xstep int, preds []float32, nOwn int)
 
 // runLevel walks one interpolation level (stride s of the new points) with
-// the given level config, calling visit for every new point in
-// deterministic phase order.
-func (b *block) runLevel(s int, lc LevelConfig, visit visitFunc) {
+// the given level config, handing every stride-row of new points to sink
+// in deterministic phase order. No point of a phase is a neighbour of
+// another point of the same phase, so a whole row is predicted before any
+// of it is reconstructed.
+func (b *block) runLevel(s int, lc LevelConfig, sink rowSink) {
+	st := b.strides()
+	reach := s // how far a direction's neighbours lie from the point
+	if lc.Spline == Cubic {
+		reach = 3 * s
+	}
 	for _, ph := range phasesFor(lc.Scheme) {
 		var start, step [3]int
 		skip := false
@@ -373,75 +489,64 @@ func (b *block) runLevel(s int, lc LevelConfig, visit visitFunc) {
 		if skip {
 			continue
 		}
-		st := b.strides()
-		// Fused row fast path: the spline's interior reach and the row's x
-		// interior span are phase constants, so each stride-row whose z/y
-		// directions are fully interior runs one whole-row prediction kernel
-		// plus scalar halo points, instead of a predict call per point.
-		reach := 0
-		if Batched {
-			if lc.Spline == Cubic {
-				reach = 3 * s
-			} else {
-				reach = s
+		x0, xstep := start[2], step[2]
+		n := (b.hi[2]-x0)/xstep + 1
+		nOwnX := min(n, max(0, (b.ohi[2]-x0+xstep-1)/xstep))
+		// Points [k0, k1) of each row run through predictRow: along them the
+		// x direction, when interpolated, has all its neighbours inside the
+		// block, so every direction's formula is constant. The halo points
+		// outside, and every point on the scalar reference path, go through
+		// predict.
+		k0, k1 := 0, n
+		if !Batched {
+			k1 = 0
+		} else if slices.Contains(ph.dims, 2) {
+			k0 = min(n, (b.lo[2]+reach-x0+xstep-1)/xstep)
+			k1 = 0
+			if last := b.hi[2] - reach; last >= x0 {
+				k1 = (last-x0)/xstep + 1
 			}
 		}
-		xIntLo, xIntHi := start[2], b.hi[2]
-		if reach > 0 {
-			for _, d := range ph.dims {
-				if d != 2 {
-					continue
-				}
-				if lo := b.lo[2] + reach; xIntLo < lo {
-					k := (lo - start[2] + step[2] - 1) / step[2]
-					xIntLo = start[2] + k*step[2]
-				}
-				xIntHi = b.hi[2] - reach
-			}
-		}
+		k1 = max(k1, k0)
+		// A row's terms depend on z only through a z direction and on y only
+		// through a y direction, so they are recomputed only when the
+		// coordinates they depend on change.
+		zDep, yDep := slices.Contains(ph.dims, 0), slices.Contains(ph.dims, 1)
+		tz, ty := -1, -1 // the coordinates the current terms were built for
+		var init float32
+		var terms []rowTerm
+		preds := b.preds[:n]
 		for z := start[0]; z <= b.hi[0]; z += step[0] {
 			zOwn := z < b.ohi[0]
-			zBase := (z - b.lo[0]) * st[0]
 			for y := start[1]; y <= b.hi[1]; y += step[1] {
-				yOwn := zOwn && y < b.ohi[1]
-				yBase := zBase + (y-b.lo[1])*st[1]
-				rowOK := reach > 0 && xIntLo <= xIntHi
-				if rowOK {
-					for _, d := range ph.dims {
-						if d == 0 && (z-reach < b.lo[0] || z+reach > b.hi[0]) ||
-							d == 1 && (y-reach < b.lo[1] || y+reach > b.hi[1]) {
-							rowOK = false
-							break
-						}
+				l0 := (z-b.lo[0])*st[0] + (y-b.lo[1])*st[1] + (x0 - b.lo[2])
+				if k0 < k1 {
+					kz, ky := 0, 0
+					if zDep {
+						kz = z
 					}
+					if yDep {
+						ky = y
+					}
+					if kz != tz || ky != ty {
+						init, terms = b.rowTerms(z, y, s, ph.dims, lc.Spline)
+						tz, ty = kz, ky
+					}
+					b.predictRow(preds[k0:k1], l0+k0*xstep, xstep, init, terms)
 				}
-				x := start[2]
-				if rowOK {
-					for ; x < xIntLo; x += step[2] {
-						idx := yBase + (x - b.lo[2])
-						pred := b.predict(z, y, x, idx, s, ph.dims, lc.Spline)
-						b.buf[idx] = visit(z, y, x, pred, yOwn && x < b.ohi[2])
-					}
-					count := (xIntHi-x)/step[2] + 1
-					if cap(b.preds) < count {
-						b.preds = make([]float32, count)
-					}
-					preds := b.preds[:count]
-					idx0 := yBase + (x - b.lo[2])
-					if lc.Spline == Cubic {
-						b.predictRowCubic(preds, idx0, step[2], s, ph.dims)
-					} else {
-						b.predictRowLinear(preds, idx0, step[2], s, ph.dims)
-					}
-					for i := 0; i < count; i, x = i+1, x+step[2] {
-						idx := yBase + (x - b.lo[2])
-						b.buf[idx] = visit(z, y, x, preds[i], yOwn && x < b.ohi[2])
-					}
+				for i := 0; i < k0; i++ {
+					preds[i] = b.predict(z, y, x0+i*xstep, l0+i*xstep, s, ph.dims, lc.Spline)
 				}
-				for ; x <= b.hi[2]; x += step[2] {
-					idx := yBase + (x - b.lo[2])
-					pred := b.predict(z, y, x, idx, s, ph.dims, lc.Spline)
-					b.buf[idx] = visit(z, y, x, pred, yOwn && x < b.ohi[2])
+				for i := k1; i < n; i++ {
+					preds[i] = b.predict(z, y, x0+i*xstep, l0+i*xstep, s, ph.dims, lc.Spline)
+				}
+				nOwn := 0
+				if zOwn && y < b.ohi[1] {
+					nOwn = nOwnX
+				}
+				sink(z, y, x0, xstep, preds, nOwn)
+				for i, v := range preds {
+					b.buf[l0+i*xstep] = v
 				}
 			}
 		}
@@ -449,10 +554,10 @@ func (b *block) runLevel(s int, lc LevelConfig, visit visitFunc) {
 }
 
 // run executes all levels coarse-to-fine.
-func (b *block) run(visit visitFunc) {
+func (b *block) run(sink rowSink) {
 	li := 0
 	for s := b.cfg.AnchorStride / 2; s >= 1; s >>= 1 {
-		b.runLevel(s, b.cfg.PerLevel[li], visit)
+		b.runLevel(s, b.cfg.PerLevel[li], sink)
 		li++
 	}
 }

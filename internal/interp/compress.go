@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/gpusim"
@@ -33,6 +34,10 @@ var (
 
 type iscratch struct {
 	freq []int64
+	// missing records that decompression met an outlier code whose
+	// position the outlier list lacks. Valid streams never have one, so it
+	// marks the input corrupt.
+	missing atomic.Bool
 }
 
 func scratchFor(ctx *arena.Ctx) *iscratch {
@@ -124,17 +129,18 @@ func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, g Grid, cfg
 			}
 		})
 		ol := &perBlockOutliers[bi]
-		bk.run(func(z, y, x int, pred float32, owned bool) float32 {
-			idx := g.flat(z, y, x)
-			code, recon, outlier := quant.Quantize(data[idx], pred, twoEB)
-			if owned {
-				res.Codes[idx] = code
-				hist[code]++
-				if outlier {
+		bk.run(func(z, y, x0, xstep int, preds []float32, nOwn int) {
+			g0 := g.flat(z, y, x0)
+			codes := bk.codes[:len(preds)]
+			quant.QuantizeRow(preds, codes, data[g0:], xstep, twoEB)
+			for i, c := range codes[:nOwn] {
+				idx := g0 + i*xstep
+				res.Codes[idx] = c
+				hist[c]++
+				if c == quant.OutlierCode {
 					ol.Append(idx, data[idx])
 				}
 			}
-			return recon
 		})
 		freqMu.Lock()
 		for c, n := range hist {
@@ -184,6 +190,8 @@ func Decompress(dev *gpusim.Device, res *Result, g Grid, cfg Config, eb float64)
 
 // DecompressCtx is Decompress with a reusable context. With a non-nil ctx
 // the returned field is context scratch, valid until the next ctx.Reset.
+// An outlier code whose position res.Outliers lacks is an error wrapping
+// quant.ErrCorrupt.
 func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, res *Result, g Grid, cfg Config, eb float64) ([]float32, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -201,6 +209,8 @@ func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, res *Result, g Grid, cfg 
 	out := ctx.F32(g.Len())
 	azd, ayd, axd := g.AnchorDims(cfg.AnchorStride)
 	nbz, nby, nbx := blockGrid(g, &cfg)
+	sc := scratchFor(ctx)
+	sc.missing.Store(false)
 	dev.Launch(nbz*nby*nbx, func(bi int) {
 		bk := bufPool.Get().(*block)
 		defer bufPool.Put(bk)
@@ -215,20 +225,28 @@ func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, res *Result, g Grid, cfg 
 				out[g.flat(z, y, x)] = v
 			}
 		})
-		bk.run(func(z, y, x int, pred float32, owned bool) float32 {
-			idx := g.flat(z, y, x)
-			code := res.Codes[idx]
-			var v float32
-			if code == quant.OutlierCode {
-				v, _ = res.Outliers.SortedGet(idx)
-			} else {
-				v = quant.Dequantize(code, pred, twoEB)
+		bk.run(func(z, y, x0, xstep int, preds []float32, nOwn int) {
+			g0 := g.flat(z, y, x0)
+			codes := res.Codes[g0:]
+			for i := range preds {
+				c := codes[i*xstep]
+				if c != quant.OutlierCode {
+					preds[i] = quant.Dequantize(c, preds[i], twoEB)
+					continue
+				}
+				v, ok := res.Outliers.SortedGet(g0 + i*xstep)
+				if !ok {
+					sc.missing.Store(true)
+				}
+				preds[i] = v
 			}
-			if owned {
-				out[idx] = v
+			for i, v := range preds[:nOwn] {
+				out[g0+i*xstep] = v
 			}
-			return v
 		})
 	})
+	if sc.missing.Load() {
+		return nil, fmt.Errorf("interp: outlier code with no outlier value: %w", quant.ErrCorrupt)
+	}
 	return out, nil
 }

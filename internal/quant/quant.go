@@ -14,7 +14,8 @@ import (
 	"repro/internal/gpusim"
 )
 
-// ErrCorrupt reports a malformed outlier section.
+// ErrCorrupt reports a malformed outlier section, or an outlier code whose
+// value the section does not hold.
 var ErrCorrupt = errors.New("quant: corrupt outlier section")
 
 const (
@@ -46,6 +47,44 @@ func Quantize(val, pred float32, twoEB float64) (code uint8, recon float32, outl
 // Dequantize reconstructs a value from a non-outlier code.
 func Dequantize(code uint8, pred float32, twoEB float64) float32 {
 	return float32(float64(pred) + float64(int(code)-ZeroCode)*twoEB)
+}
+
+// QuantizeRow is Quantize over one stride-row, in place: point i has value
+// vals[i*step] and prediction preds[i]. On return preds[i] holds the
+// point's reconstruction and codes[i] its code (OutlierCode marks an
+// outlier). Every point's code, reconstruction and outlier flag are those
+// of Quantize, which stays the reference.
+//
+// Rounding is the branchless t + trunc(2(x-t)) with t = trunc(x): x-t is
+// exact for every finite x, so this rounds half away from zero like
+// math.Round, but it compiles to ROUNDSD on amd64 and keeps the loop
+// call-free. It differs from math.Round only at x = -0 (it gives +0) and
+// at ±Inf (NaN); neither changes the code, the reconstruction or the
+// outlier flag. The bound check is two compares instead of math.Abs.
+//
+//cuszhi:hotpath
+func QuantizeRow(preds []float32, codes []uint8, vals []float32, step int, twoEB float64) {
+	n := len(preds)
+	preds = preds[:n:n]
+	codes = codes[:n:n]
+	half := twoEB / 2
+	for i, j := 0, 0; i < n; i, j = i+1, j+step {
+		v := vals[j]
+		p := float64(preds[i])
+		x := (float64(v) - p) / twoEB
+		t := math.Trunc(x)
+		q := t + math.Trunc(2*(x-t))
+		if q >= -Radius && q <= Radius {
+			r := float32(p + q*twoEB)
+			if e := float64(v) - float64(r); e <= half && e >= -half {
+				preds[i] = r
+				codes[i] = uint8(int(q) + ZeroCode)
+				continue
+			}
+		}
+		preds[i] = v
+		codes[i] = OutlierCode
+	}
 }
 
 // ---------------------------------------------------------------------------
