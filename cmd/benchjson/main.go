@@ -85,6 +85,15 @@ func quantLike(n int, seed int64) []byte {
 	return out
 }
 
+// chunkedSpec resolves a mode (and auto-mode policy) into the encode spec
+// of a version-ver chunked container (0: the mode's native layout) under
+// the absolute bound eb.
+func chunkedSpec(mode, policy string, ver int, eb float64) (core.EncodeSpec, error) {
+	spec, err := core.ResolveEncodeSpec(mode, policy, ver)
+	spec.EB = eb
+	return spec, err
+}
+
 func suite(quick bool) ([]bench, error) {
 	dev := gpusim.New(0)
 	dev1 := gpusim.New(1)
@@ -137,7 +146,13 @@ func suite(quick bool) ([]bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	sBlobChunked, err := core.CompressChunked(dev, sField.Data, sField.Dims, sEB, sOpts, 32)
+	// The sharded entries keep measuring plain v2 chunks, as they always
+	// have: no range scan, no index footer.
+	sSpec, err := chunkedSpec("hi-tp", "", 2, sEB)
+	if err != nil {
+		return nil, err
+	}
+	sBlobChunked, err := core.CompressChunked(dev, sField.Data, sField.Dims, 32, sSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -186,23 +201,27 @@ func suite(quick bool) ([]bench, error) {
 		}
 	}
 	mixEB := metrics.AbsEB(mix, 1e-2)
-	bestFixed := core.Options{}
+	var bestFixed core.EncodeSpec
 	bestFixedLen := -1
 	for _, name := range []string{"hi-cr", "hi-tp", "cusz-l"} {
-		opts, err := core.ModeOptions(name)
+		spec, err := chunkedSpec(name, "", 2, mixEB)
 		if err != nil {
 			return nil, err
 		}
-		blob, err := core.CompressChunked(dev4, mix, mixDims, mixEB, opts, 32)
+		blob, err := core.CompressChunked(dev4, mix, mixDims, 32, spec)
 		if err != nil {
 			return nil, err
 		}
 		if bestFixedLen < 0 || len(blob) < bestFixedLen {
 			bestFixedLen = len(blob)
-			bestFixed = opts
+			bestFixed = spec
 		}
 	}
-	autoBlob, err := core.CompressChunkedAuto(dev4, mix, mixDims, mixEB, 32)
+	autoSpec, err := chunkedSpec("auto", "", 0, mixEB)
+	if err != nil {
+		return nil, err
+	}
+	autoBlob, err := core.CompressChunked(dev4, mix, mixDims, 32, autoSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -213,13 +232,19 @@ func suite(quick bool) ([]bench, error) {
 	// The non-default selection policies on the same field: throughput may
 	// trade a little ratio for a faster codec, ratio-floor takes the fastest
 	// codec that still clears the floor.
-	thrPol := core.ThroughputPolicy()
-	rfPol := core.RatioFloorPolicy(8)
-	thrBlob, err := core.CompressChunkedAutoPolicy(dev4, mix, mixDims, mixEB, 32, thrPol)
+	thrSpec, err := chunkedSpec("auto", "throughput", 0, mixEB)
 	if err != nil {
 		return nil, err
 	}
-	rfBlob, err := core.CompressChunkedAutoPolicy(dev4, mix, mixDims, mixEB, 32, rfPol)
+	rfSpec, err := chunkedSpec("auto", "ratio-floor:8", 0, mixEB)
+	if err != nil {
+		return nil, err
+	}
+	thrBlob, err := core.CompressChunked(dev4, mix, mixDims, 32, thrSpec)
+	if err != nil {
+		return nil, err
+	}
+	rfBlob, err := core.CompressChunked(dev4, mix, mixDims, 32, rfSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -232,19 +257,19 @@ func suite(quick bool) ([]bench, error) {
 	type backendBench struct {
 		name string
 		blob []byte
-		cd   core.Codec
+		spec core.EncodeSpec
 	}
 	var backends []backendBench
 	for _, name := range []string{"fzgpu", "szp", "szx"} {
-		cd, ok := core.CodecByName(name)
-		if !ok {
-			return nil, fmt.Errorf("backend codec %q not registered", name)
-		}
-		blob, err := core.CompressChunkedCodec(dev4, sField.Data, sField.Dims, sEB, cd, 32)
+		spec, err := chunkedSpec(name, "", 0, sEB)
 		if err != nil {
 			return nil, err
 		}
-		backends = append(backends, backendBench{name: name, blob: blob, cd: cd})
+		blob, err := core.CompressChunked(dev4, sField.Data, sField.Dims, 32, spec)
+		if err != nil {
+			return nil, err
+		}
+		backends = append(backends, backendBench{name: name, blob: blob, spec: spec})
 	}
 
 	// Per-kernel microbenchmarks over the batched hot loops, isolated from
@@ -299,7 +324,7 @@ func suite(quick bool) ([]bench, error) {
 		benches = append(benches,
 			bench{"backend/" + bb.name + "/compress-4w", int64(sField.SizeBytes()), ratio, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := core.CompressChunkedCodec(dev4, sField.Data, sField.Dims, sEB, bb.cd, 32); err != nil {
+					if _, err := core.CompressChunked(dev4, sField.Data, sField.Dims, 32, bb.spec); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -317,28 +342,28 @@ func suite(quick bool) ([]bench, error) {
 	return append(benches, []bench{
 		{"stream/automode/compress-auto-estimator-4w", mixBytes, autoRatio, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CompressChunkedAuto(dev4, mix, mixDims, mixEB, 32); err != nil {
+				if _, err := core.CompressChunked(dev4, mix, mixDims, 32, autoSpec); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"stream/automode/compress-auto-throughput-4w", mixBytes, thrRatio, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CompressChunkedAutoPolicy(dev4, mix, mixDims, mixEB, 32, thrPol); err != nil {
+				if _, err := core.CompressChunked(dev4, mix, mixDims, 32, thrSpec); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"stream/automode/compress-auto-ratio-floor-4w", mixBytes, rfRatio, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CompressChunkedAutoPolicy(dev4, mix, mixDims, mixEB, 32, rfPol); err != nil {
+				if _, err := core.CompressChunked(dev4, mix, mixDims, 32, rfSpec); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"stream/automode/compress-best-fixed-4w", mixBytes, fixedRatio, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CompressChunked(dev4, mix, mixDims, mixEB, bestFixed, 32); err != nil {
+				if _, err := core.CompressChunked(dev4, mix, mixDims, 32, bestFixed); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -407,7 +432,7 @@ func suite(quick bool) ([]bench, error) {
 		}},
 		{"stream/compress/sharded-4w", int64(sField.SizeBytes()), 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CompressChunked(dev4, sField.Data, sField.Dims, sEB, sOpts, 32); err != nil {
+				if _, err := core.CompressChunked(dev4, sField.Data, sField.Dims, 32, sSpec); err != nil {
 					b.Fatal(err)
 				}
 			}

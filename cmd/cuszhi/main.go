@@ -13,11 +13,12 @@
 // unless -chunk/-stream shards the field.
 //
 // -chunk N shards the field into slabs of N planes compressed in parallel
-// (a chunked container); -stream additionally pipes the file through the
-// streaming writer/reader so memory stays bounded by the chunk size rather
-// than the field size, emitting a seekable (format v4) container whose
-// chunk-index footer lets `decompress -planes lo:hi` extract a plane range
-// while reading only the covering shards. With -mode auto and chunking (or
+// into a seekable chunked container — format v4 for the assemblies, v5 for
+// the backends and auto — whose chunk-index footer lets `decompress
+// -planes lo:hi` extract a plane range while reading only the covering
+// shards; -stream writes the same container through the streaming
+// writer/reader, so memory stays bounded by the chunk size rather than the
+// field size. With -mode auto and chunking (or
 // -stream), every shard is compressed by whichever codec the estimator
 // cascade scores best on a sample of it — the candidates span the
 // assemblies and the backend codecs — a heterogeneous format-v5 container;
@@ -170,7 +171,7 @@ func cmdCompress(args []string) error {
 	eb := fs.Float64("eb", 1e-3, "error bound")
 	abs := fs.Bool("abs", false, "treat -eb as absolute instead of value-range-relative")
 	mode := fs.String("mode", string(cuszhi.ModeCR), "compressor mode")
-	chunk := fs.Int("chunk", 0, "planes per chunk; >0 writes a chunked (v2) container compressed in parallel")
+	chunk := fs.Int("chunk", 0, "planes per chunk; >0 writes a chunked container (v4; v5 for backend and auto modes) compressed in parallel")
 	streaming := fs.Bool("stream", false, "pipe the file through the streaming writer (bounded memory; implies -chunk)")
 	policy := fs.String("auto-policy", "", "auto-mode selection policy: best-ratio, throughput, or ratio-floor:F (requires -mode auto)")
 	fs.Parse(args)

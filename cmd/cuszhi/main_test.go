@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/cuszhi"
+	"repro/cuszhi/stream"
 )
 
 func TestParseDims(t *testing.T) {
@@ -241,9 +244,17 @@ func TestPlaneRangeExtraction(t *testing.T) {
 	}
 
 	// Old chunked (v2) containers work through the fallback index.
+	rawVals, err := readF32(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2Blob, err := stream.CompressAbs(rawVals, []int{24, 12, 12}, cuszhi.AbsEB(rawVals, 1e-3),
+		stream.WithMode(cuszhi.ModeTP), stream.WithChunkPlanes(5), stream.WithIndex(false))
+	if err != nil {
+		t.Fatal(err)
+	}
 	v2 := filepath.Join(dir, "v2.cszh")
-	if err := cmdCompress([]string{"-i", raw, "-o", v2, "-dims", "24x12x12",
-		"-eb", "1e-3", "-mode", "hi-tp", "-chunk", "5"}); err != nil {
+	if err := os.WriteFile(v2, v2Blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	part2 := filepath.Join(dir, "part2.f32")

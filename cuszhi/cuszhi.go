@@ -71,14 +71,6 @@ func BackendModes() []Mode {
 	return []Mode{ModeFzGPU, ModeSZp, ModeSZx}
 }
 
-func options(m Mode) (core.Options, error) {
-	o, err := core.ModeOptions(string(m))
-	if err != nil {
-		return core.Options{}, fmt.Errorf("cuszhi: unknown mode %q", m)
-	}
-	return o, nil
-}
-
 // Option customizes a Compressor.
 type Option func(*Compressor)
 
@@ -88,11 +80,12 @@ func WithWorkers(n int) Option {
 	return func(c *Compressor) { c.dev = gpusim.New(n) }
 }
 
-// WithChunkPlanes switches Compress to the chunked (format v2) path: the
-// field is sharded into slabs of n planes along the slowest dimension and
-// the shards are compressed concurrently into a multi-chunk container.
-// n <= 0 keeps the single-shot v1 path. Decompress handles both formats
-// transparently.
+// WithChunkPlanes switches Compress to the chunked path: the field is
+// sharded into slabs of n planes along the slowest dimension and the
+// shards are compressed concurrently into a multi-chunk container — the
+// same bytes a stream.Writer writes: format v4 for the assemblies, v5 for
+// the backend modes and ModeAuto. n <= 0 keeps the one-shot path.
+// Decompress handles every format transparently.
 func WithChunkPlanes(n int) Option {
 	return func(c *Compressor) { c.chunkPlanes = n }
 }
@@ -109,47 +102,23 @@ func WithAutoPolicy(name string) Option {
 // Compressor is a reusable, goroutine-safe compressor instance.
 type Compressor struct {
 	mode        Mode
-	auto        bool
-	opts        core.Options
-	codec       core.Codec // backend chunk codec (fzgpu/szp/szx) modes
+	spec        core.EncodeSpec // resolved codec (nil: auto) and policy
 	dev         *gpusim.Device
 	chunkPlanes int
-	policyName  string               // WithAutoPolicy spelling, "" = default
-	pol         core.SelectionPolicy // resolved auto-mode ranking policy
+	policyName  string // WithAutoPolicy spelling, "" = default
 }
 
 // New returns a Compressor for the given mode.
 func New(mode Mode, opts ...Option) (*Compressor, error) {
 	c := &Compressor{mode: mode, dev: gpusim.Default}
-	switch {
-	case mode == ModeAuto:
-		c.auto = true
-	default:
-		co, err := options(mode)
-		if err != nil {
-			// Not an assembly: backend chunk codecs (fzgpu/szp/szx) resolve
-			// through the registry and compress via format-v5 containers.
-			if cd, ok := core.CodecByName(string(mode)); ok {
-				c.codec = cd
-				break
-			}
-			return nil, err
-		}
-		c.opts = co
-	}
 	for _, o := range opts {
 		o(c)
 	}
-	if c.policyName != "" && !c.auto {
-		return nil, fmt.Errorf("cuszhi: WithAutoPolicy(%q) needs ModeAuto; mode is %q", c.policyName, mode)
+	spec, err := core.ResolveEncodeSpec(string(mode), c.policyName, 0)
+	if err != nil {
+		return nil, fmt.Errorf("cuszhi: %w", err)
 	}
-	if c.auto {
-		pol, err := core.PolicyByName(c.policyName)
-		if err != nil {
-			return nil, fmt.Errorf("cuszhi: %w", err)
-		}
-		c.pol = pol
-	}
+	c.spec = spec
 	return c, nil
 }
 
@@ -167,43 +136,31 @@ func (c *Compressor) Compress(data []float32, dims []int, relEB float64) ([]byte
 
 // CompressAbs encodes data under an absolute error bound.
 func (c *Compressor) CompressAbs(data []float32, dims []int, absEB float64) ([]byte, error) {
-	if c.auto {
-		if c.chunkPlanes > 0 {
-			// Chunked auto mode goes per-shard: every shard gets whichever
-			// registered codec the estimator cascade scores best on a sample
-			// of it (ranked by the selection policy), producing a
-			// heterogeneous (format v5) container.
-			return core.CompressChunkedAutoPolicy(c.dev, data, dims, absEB, c.chunkPlanes, c.pol)
-		}
-		sel, err := core.AutoSelectPolicy(nil, c.dev, data, dims, absEB, c.pol)
-		if err != nil {
-			return nil, err
-		}
-		if sel.Options.Name == "" {
-			// A backend codec won: its payload only lives inside v5 chunk
-			// frames, so wrap the field as a single-chunk v5 container.
-			return core.CompressChunkedCodec(c.dev, data, dims, absEB, sel.Codec, dims[0])
-		}
-		// Compress through the selection's registered codec — the same
-		// dispatch surface the per-chunk paths use.
-		return sel.Codec.Compress(nil, c.dev, data, dims, absEB)
-	}
-	if c.codec != nil {
-		// Backend chunk codecs always emit format v5 — a single chunk
-		// unless WithChunkPlanes shards the field.
-		cp := c.chunkPlanes
-		if cp <= 0 {
-			if len(dims) == 0 {
-				return nil, fmt.Errorf("cuszhi: empty dims")
+	spec, cp := c.spec, c.chunkPlanes
+	if cp <= 0 {
+		if spec.Codec == nil {
+			// One-shot auto mode selects once, over the whole field.
+			sel, err := core.AutoSelect(nil, c.dev, data, dims, absEB, spec.Policy)
+			if err != nil {
+				return nil, err
 			}
-			cp = dims[0]
+			if spec, err = core.ResolveEncodeSpec(sel.Codec.Name(), "", 0); err != nil {
+				return nil, err
+			}
 		}
-		return core.CompressChunkedCodec(c.dev, data, dims, absEB, c.codec, cp)
+		if spec.Version < 5 {
+			// An assembly writes a one-shot (v1) container.
+			return spec.Codec.Compress(nil, c.dev, data, dims, absEB)
+		}
+		// A backend's payload only lives inside v5 chunk frames: one chunk
+		// covers the field.
+		if len(dims) == 0 {
+			return nil, fmt.Errorf("cuszhi: empty dims")
+		}
+		cp = dims[0]
 	}
-	if c.chunkPlanes > 0 {
-		return core.CompressChunked(c.dev, data, dims, absEB, c.opts, c.chunkPlanes)
-	}
-	return core.Compress(c.dev, data, dims, absEB, c.opts)
+	spec.EB = absEB
+	return core.CompressChunked(c.dev, data, dims, cp, spec)
 }
 
 // Decompress decodes a container produced by any mode, returning the

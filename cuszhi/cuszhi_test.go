@@ -85,6 +85,36 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
+// TestCompressRejectsBadDims: every mode, one-shot and chunked, refuses
+// dims that disagree with the value count with an error — never a panic.
+func TestCompressRejectsBadDims(t *testing.T) {
+	data := make([]float32, 100)
+	for i := range data {
+		data[i] = float32(i % 7)
+	}
+	modes := append(append(Modes(), BackendModes()...), ModeAuto)
+	for _, mode := range modes {
+		for _, cp := range []int{0, 4} {
+			c, err := New(mode, WithChunkPlanes(cp))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dims := range [][]int{nil, {10, 10, 10}, {-4, -25}} {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s chunk=%d dims=%v: panic: %v", mode, cp, dims, r)
+						}
+					}()
+					if _, err := c.CompressAbs(data, dims, 0.01); err == nil {
+						t.Errorf("%s chunk=%d dims=%v: accepted", mode, cp, dims)
+					}
+				}()
+			}
+		}
+	}
+}
+
 func TestCRModeHighestRatioOnSmoothField(t *testing.T) {
 	f, err := datagen.Generate("rtm", []int{56, 56, 32}, 3)
 	if err != nil {

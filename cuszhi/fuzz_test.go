@@ -31,11 +31,11 @@ func FuzzDecompress(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	chunked, err := New(ModeTP, WithChunkPlanes(2))
-	if err != nil {
-		f.Fatal(err)
+	tp, ok := core.CodecByName(string(ModeTP))
+	if !ok {
+		f.Fatal(ModeTP)
 	}
-	v2, err := chunked.CompressAbs(data, dims, 0.05)
+	v2, err := core.CompressChunked(gpusim.Default, data, dims, 2, core.EncodeSpec{Version: 2, EB: 0.05, Codec: tp})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func FuzzDecompress(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v3, err := core.AppendChunkedHeaderV3(nil, dims, 0.01, true, 2)
+	v3, err := core.AppendChunkedHeaderSized(nil, 3, dims, 0.01, true, 2, 0, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func FuzzDecompress(f *testing.F) {
 
 	// A v4 container (seekable: v3 framing + chunk-index footer), built the
 	// way the streaming writer builds it.
-	v4, err := core.AppendChunkedHeaderV4(nil, dims, 0.05, false, 2)
+	v4, err := core.AppendChunkedHeaderSized(nil, 4, dims, 0.05, false, 2, 0, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -92,14 +92,14 @@ func FuzzDecompress(f *testing.F) {
 		v4idx = append(v4idx, core.IndexEntry{FrameOff: int64(len(v4)), PlaneOff: off, Planes: 2})
 		v4 = core.AppendChunkFrameV3(v4, lOpts, off, shardDims, minV, maxV, payload)
 	}
-	v4 = core.AppendChunkIndexFooter(v4, int64(len(v4)), v4idx)
+	v4 = core.AppendChunkIndexFooter(v4, 4, int64(len(v4)), v4idx)
 	if _, _, err := Decompress(v4); err != nil {
 		f.Fatal(err) // the seed itself must be valid
 	}
 
 	// A v5 container (heterogeneous: per-chunk codec IDs in the frames and
 	// the index footer), with the shards alternating between two codecs.
-	v5, err := core.AppendChunkedHeaderV5(nil, dims, 0.05, false, 2)
+	v5, err := core.AppendChunkedHeaderSized(nil, 5, dims, 0.05, false, 2, 0, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func FuzzDecompress(f *testing.F) {
 		v5idx = append(v5idx, core.IndexEntry{FrameOff: int64(len(v5)), PlaneOff: off, Planes: 2, Codec: cd.ID()})
 		v5 = core.AppendChunkFrameV5(v5, cd, off, shardDims, minV, maxV, payload)
 	}
-	v5 = core.AppendChunkIndexFooterV5(v5, int64(len(v5)), v5idx)
+	v5 = core.AppendChunkIndexFooter(v5, 5, int64(len(v5)), v5idx)
 	if _, _, err := Decompress(v5); err != nil {
 		f.Fatal(err) // the seed itself must be valid
 	}
@@ -128,7 +128,7 @@ func FuzzDecompress(f *testing.F) {
 	// A v5 container whose chunks use the backend codecs (fzgpu, szx):
 	// the registry dispatches them by wire ID and their payloads are
 	// self-contained, so the corpus must cover that path too.
-	v5b, err := core.AppendChunkedHeaderV5(nil, dims, 0.05, false, 3)
+	v5b, err := core.AppendChunkedHeaderSized(nil, 5, dims, 0.05, false, 3, 0, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func FuzzDecompress(f *testing.F) {
 		v5bIdx = append(v5bIdx, core.IndexEntry{FrameOff: int64(len(v5b)), PlaneOff: off, Planes: 3, Codec: cd.ID()})
 		v5b = core.AppendChunkFrameV5(v5b, cd, off, shardDims, minV, maxV, payload)
 	}
-	v5b = core.AppendChunkIndexFooterV5(v5b, int64(len(v5b)), v5bIdx)
+	v5b = core.AppendChunkIndexFooter(v5b, 5, int64(len(v5b)), v5bIdx)
 	if _, _, err := Decompress(v5b); err != nil {
 		f.Fatal(err) // the seed itself must be valid
 	}
@@ -169,13 +169,13 @@ func FuzzDecompress(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		trunc, err := core.AppendChunkedHeaderV5(nil, shardDims, 0.05, false, 3)
+		trunc, err := core.AppendChunkedHeaderSized(nil, 5, shardDims, 0.05, false, 3, 0, 0)
 		if err != nil {
 			f.Fatal(err)
 		}
 		idx := []core.IndexEntry{{FrameOff: int64(len(trunc)), PlaneOff: 0, Planes: 3, Codec: cd.ID()}}
 		trunc = core.AppendChunkFrameV5(trunc, cd, 0, shardDims, minV, maxV, payload[:len(payload)/2])
-		f.Add(core.AppendChunkIndexFooterV5(trunc, int64(len(trunc)), idx))
+		f.Add(core.AppendChunkIndexFooter(trunc, 5, int64(len(trunc)), idx))
 	}
 
 	for _, blob := range [][]byte{v1, v2, vl, v3, v4, v5, v5b} {

@@ -25,7 +25,7 @@ var roundTripDatasets = []struct {
 // TestRoundTripEveryMode is the cross-cutting property harness: every
 // fixed-assembly mode × every dataset × several error bounds must round
 // trip within the absolute bound with exact dims — through the one-shot
-// v1 path and the chunked v2 path, in both mixed directions (v2 blobs are
+// v1 path and the chunked v4 path, in both mixed directions (v4 blobs are
 // decoded by the same Decompress that reads v1).
 func TestRoundTripEveryMode(t *testing.T) {
 	for _, ds := range roundTripDatasets {
@@ -49,16 +49,16 @@ func TestRoundTripEveryMode(t *testing.T) {
 					if err != nil {
 						t.Fatalf("v1 compress: %v", err)
 					}
-					v2, err := chunked.CompressAbs(data, dims, absEB)
+					v4, err := chunked.CompressAbs(data, dims, absEB)
 					if err != nil {
-						t.Fatalf("v2 compress: %v", err)
+						t.Fatalf("v4 compress: %v", err)
 					}
-					if len(v2) < 6 || v2[4] != 2 {
-						t.Fatalf("chunked path produced version %d", v2[4])
+					if len(v4) < 6 || v4[4] != 4 {
+						t.Fatalf("chunked path produced version %d", v4[4])
 					}
 					// Either container decodes through either Compressor:
 					// the format is self-describing.
-					for tag, blob := range map[string][]byte{"v1": v1, "v2": v2} {
+					for tag, blob := range map[string][]byte{"v1": v1, "v4": v4} {
 						for dtag, dec := range map[string]*Compressor{"one-shot": oneShot, "chunked": chunked} {
 							recon, gotDims, err := dec.Decompress(blob)
 							if err != nil {

@@ -143,7 +143,7 @@ func OpenAppend(f File, opt ...Option) (*Writer, error) {
 		return nil, err
 	}
 	cfg := newConfig(opt)
-	opts, cd, auto, err := appendMode(rec, cfg)
+	spec, err := appendSpec(rec, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -174,17 +174,10 @@ func OpenAppend(f File, opt ...Option) (*Writer, error) {
 		w:         &offsetWriter{f: f, off: rec.FramesEnd},
 		f:         f,
 		grow:      true,
-		ver:       h.Version,
 		headerLen: rec.HeaderLen,
 		dev:       cfg.dev,
-		opts:      opts,
-		cd:        cd,
-		auto:      auto,
+		spec:      spec,
 		dims:      append([]int(nil), h.Dims...),
-		eb:        h.EB,
-		rel:       h.RelEB,
-		index:     h.Version >= 4,
-		rangeHdr:  h.Version >= 3,
 		ps:        ps,
 		cp:        h.ChunkPlanes,
 		plane:     rec.Planes,
@@ -202,55 +195,29 @@ func OpenAppend(f File, opt ...Option) (*Writer, error) {
 	return w, nil
 }
 
-// appendMode resolves the codec state a re-opened store continues with:
-// the explicit WithMode/WithAutoMode when one was passed (validated
-// against what the store's format can carry), else whatever the frames on
-// disk prove.
-func appendMode(rec *core.RecoveryInfo, cfg config) (opts core.Options, cd core.Codec, auto bool, err error) {
-	ver := rec.Header.Version
-	if cfg.modeSet {
-		if cfg.mode == cuszhi.ModeAuto {
-			if ver < 5 {
-				return opts, nil, false, fmt.Errorf("stream: store is format v%d; auto mode needs the v5 per-chunk codec IDs", ver)
-			}
-			return opts, nil, true, nil
+// appendSpec resolves the spec a re-opened store continues with: the
+// explicit WithMode/WithAutoMode when one was passed, else whatever the
+// frames on disk prove — either way through the one mode resolver, at the
+// store's version, so a mode the format cannot carry (codec IDs need v5)
+// and a selection policy without auto mode are refused as in NewWriter.
+func appendSpec(rec *core.RecoveryInfo, cfg config) (core.EncodeSpec, error) {
+	h := rec.Header
+	if !cfg.modeSet {
+		cd, uniform, ok := rec.RecoveredCodec()
+		switch {
+		case uniform:
+			cfg.mode = cuszhi.Mode(cd.Name())
+		case ok || h.Version >= 5 && len(rec.Entries) == 0:
+			// Chunks mix codecs, or an empty v5 store: adaptive covers any mix.
+			cfg.mode = cuszhi.ModeAuto
+		case len(rec.Entries) > 0:
+			return core.EncodeSpec{}, errors.New("stream: store frames match no registered codec; pass WithMode")
 		}
-		if ver >= 5 {
-			c, ok := core.CodecByName(string(cfg.mode))
-			if !ok {
-				return opts, nil, false, fmt.Errorf("stream: unknown mode %q", cfg.mode)
-			}
-			return opts, c, false, nil
-		}
-		opts, oerr := core.ModeOptions(string(cfg.mode))
-		if oerr != nil {
-			if _, backend := core.CodecByName(string(cfg.mode)); backend {
-				return opts, nil, false, fmt.Errorf("stream: mode %q frames carry a codec ID; store is format v%d, not v5", cfg.mode, ver)
-			}
-			return opts, nil, false, fmt.Errorf("stream: unknown mode %q", cfg.mode)
-		}
-		return opts, nil, false, nil
+		// An empty pre-v5 store continues with the default assembly.
 	}
-	c, o, uniform, ok := rec.RecoveredCodec()
-	switch {
-	case ver >= 5 && ok && uniform:
-		return opts, c, false, nil
-	case ver >= 5 && ok: // chunks mix codecs: keep dispatching per shard
-		return opts, nil, true, nil
-	case ver >= 5:
-		if len(rec.Entries) > 0 {
-			return opts, nil, false, errors.New("stream: store chunks use an unregistered codec; cannot continue it")
-		}
-		return opts, nil, true, nil // empty v5 store: adaptive covers any mix
-	case ok:
-		return o, nil, false, nil
-	default:
-		if len(rec.Entries) > 0 {
-			return opts, nil, false, errors.New("stream: store codec mode matches no registered assembly; pass WithMode")
-		}
-		o, _ = core.ModeOptions(string(cuszhi.ModeCR))
-		return o, nil, false, nil // empty pre-v5 store: default assembly
-	}
+	spec, err := cfg.spec(h.Version)
+	spec.EB, spec.Relative = h.EB, h.RelEB
+	return spec, err
 }
 
 // sealSpec is everything sealStore needs to make a store self-describing
@@ -291,12 +258,7 @@ func sealStore(f File, st *sealSpec) error {
 	if st.ver < 4 {
 		return nil // v2/v3 stores have no footer; the header seals them
 	}
-	var footer []byte
-	if st.ver >= 5 {
-		footer = core.AppendChunkIndexFooterV5(nil, st.framesEnd, st.entries)
-	} else {
-		footer = core.AppendChunkIndexFooter(nil, st.framesEnd, st.entries)
-	}
+	footer := core.AppendChunkIndexFooter(nil, st.ver, st.framesEnd, st.entries)
 	body, tail := footer[:len(footer)-core.IndexTailLen], footer[len(footer)-core.IndexTailLen:]
 	if _, err := f.WriteAt(body, st.framesEnd); err != nil {
 		return err

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -144,7 +145,7 @@ func TestOpenAppendContinuesV4Assembly(t *testing.T) {
 	}
 	// All frames must still carry hi-tp's mode byte.
 	for i, mode := range rec.Modes {
-		if opts, ok := core.OptionsForFrameMode(mode); !ok || opts.Name != "cuSZ-Hi-TP" {
+		if mode != core.CodecMode(core.HiTP()) {
 			t.Fatalf("frame %d mode %#x is not hi-tp", i, mode)
 		}
 	}
@@ -207,6 +208,78 @@ func TestOpenAppendModeOverrideMixesV5(t *testing.T) {
 	hist := r.CodecHistogram()
 	if hist["szp"] != 2 || hist["hi-cr"] < 1 {
 		t.Fatalf("codec histogram = %v, want szp×2 plus hi-cr chunks", hist)
+	}
+}
+
+// TestOpenAppendAutoPolicy: OpenAppend resolves its mode and selection
+// policy like NewWriter — a misspelled policy or a policy without auto
+// mode is refused, and a "throughput" session ranks exactly as a fresh
+// "throughput" writer does on the same planes.
+func TestOpenAppendAutoPolicy(t *testing.T) {
+	dims := []int{40, 16, 16}
+	ps := 16 * 16
+	data := mixedField(dims)
+	eb := cuszhi.AbsEB(data, 1e-2) // noise shards: szp within 15% of hi-cr
+	seed := writeV4(t, data[:8*ps], []int{8, 16, 16}, eb, 4, WithAutoMode())
+
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"unknown policy", []Option{WithAutoMode(), WithAutoPolicy("bogus")}},
+		{"policy without auto mode", []Option{WithMode(cuszhi.ModeCR), WithAutoPolicy("throughput")}},
+	} {
+		m := &memFile{b: append([]byte(nil), seed...)}
+		if _, err := OpenAppend(m, tc.opts...); err == nil {
+			t.Errorf("%s: OpenAppend accepted", tc.name)
+		} else if !bytes.Equal(m.b, seed) {
+			t.Errorf("%s: rejected open modified the store", tc.name)
+		}
+	}
+
+	// The appended planes go through a "throughput" append session and a
+	// fresh "throughput" writer; their per-shard picks must agree.
+	more := data[8*ps:]
+	m := &memFile{b: append([]byte(nil), seed...)}
+	aw, err := OpenAppend(m, WithAutoMode(), WithAutoPolicy("throughput"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := aw.WriteValues(more); err != nil {
+		t.Fatal(err)
+	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	picks := func(sels []AutoSelection, planeOff int) []string {
+		var out []string
+		for _, s := range sels {
+			out = append(out, fmt.Sprintf("%d+%d:%s:%d", s.PlaneOff-planeOff, s.Planes, s.Codec, s.Bytes))
+		}
+		return out
+	}
+	got := picks(aw.AutoSelections(), 8)
+	fresh := func(policy string) []string {
+		w, err := NewWriter(io.Discard, []int{dims[0] - 8, 16, 16}, eb,
+			WithAutoMode(), WithAutoPolicy(policy), WithChunkPlanes(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteValues(more); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return picks(w.AutoSelections(), 0)
+	}
+	want := fresh("throughput")
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("append session picks %v, fresh throughput writer picks %v", got, want)
+	}
+	// The field must make the policy matter, or the comparison proves nothing.
+	if best := fresh("best-ratio"); fmt.Sprint(best) == fmt.Sprint(want) {
+		t.Fatalf("throughput and best-ratio pick alike (%v); the test field needs a tie-breaking shard", want)
 	}
 }
 

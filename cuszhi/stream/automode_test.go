@@ -303,7 +303,7 @@ func TestAutoPolicyThreading(t *testing.T) {
 
 // TestChunkedAutoOneShot: the non-streaming facade path
 // (cuszhi.New(ModeAuto, WithChunkPlanes)) also produces a heterogeneous v5
-// container, through core.CompressChunkedAuto.
+// container, through the same per-shard body as the streaming writer.
 func TestChunkedAutoOneShot(t *testing.T) {
 	dims := []int{32, 12, 12}
 	data := mixedField(dims)

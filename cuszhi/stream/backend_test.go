@@ -160,7 +160,7 @@ func TestAutoModeBackendWinsShard(t *testing.T) {
 // the fuzz seeds do, returning the blob and its index entries.
 func buildMixedBackendV5(t *testing.T, dims []int, data []float32) ([]byte, []core.IndexEntry) {
 	t.Helper()
-	blob, err := core.AppendChunkedHeaderV5(nil, dims, 0.05, false, dims[0]/2)
+	blob, err := core.AppendChunkedHeaderSized(nil, 5, dims, 0.05, false, dims[0]/2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func buildMixedBackendV5(t *testing.T, dims []int, data []float32) ([]byte, []co
 		entries = append(entries, core.IndexEntry{FrameOff: int64(len(blob)), PlaneOff: off, Planes: planes, Codec: cd.ID()})
 		blob = core.AppendChunkFrameV5(blob, cd, off, shardDims, minV, maxV, payload)
 	}
-	return core.AppendChunkIndexFooterV5(blob, int64(len(blob)), entries), entries
+	return core.AppendChunkIndexFooter(blob, 5, int64(len(blob)), entries), entries
 }
 
 // TestReaderAtCodecMismatchNamesCodecs: a footer whose entry claims a
@@ -206,7 +206,7 @@ func TestReaderAtCodecMismatchNamesCodecs(t *testing.T) {
 	framesEnd := int(binary.LittleEndian.Uint64(blob[len(blob)-core.IndexTailLen:]))
 	lie := append([]core.IndexEntry(nil), entries...)
 	lie[0].Codec = core.CodecSZp // registered, but not what the frame says
-	bad := core.AppendChunkIndexFooterV5(append([]byte(nil), blob[:framesEnd]...), int64(framesEnd), lie)
+	bad := core.AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 5, int64(framesEnd), lie)
 
 	ra, err := OpenReaderAt(bytes.NewReader(bad), int64(len(bad)))
 	if err != nil {

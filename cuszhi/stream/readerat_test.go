@@ -265,7 +265,7 @@ func TestOpenReaderAtFallbacks(t *testing.T) {
 // does), so the mixture is deterministic.
 func makeMixedV5(t testing.TB, data []float32, dims []int, eb float64, cp int) ([]byte, []core.IndexEntry) {
 	t.Helper()
-	blob, err := core.AppendChunkedHeaderV5(nil, dims, eb, false, cp)
+	blob, err := core.AppendChunkedHeaderSized(nil, 5, dims, eb, false, cp, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func makeMixedV5(t testing.TB, data []float32, dims []int, eb float64, cp int) (
 			FrameOff: int64(len(blob)), PlaneOff: off, Planes: planes, Codec: cd.ID()})
 		blob = core.AppendChunkFrameV5(blob, cd, off, shardDims, minV, maxV, payload)
 	}
-	return core.AppendChunkIndexFooterV5(blob, int64(len(blob)), entries), entries
+	return core.AppendChunkIndexFooter(blob, 5, int64(len(blob)), entries), entries
 }
 
 // TestReadPlanesMixedCodecV5 is the random-access half of the acceptance
@@ -369,7 +369,7 @@ func TestOpenReaderAtV5Hostile(t *testing.T) {
 	t.Run("unknown codec id in footer", func(t *testing.T) {
 		lie := append([]core.IndexEntry(nil), entries...)
 		lie[2].Codec = 0x7f
-		bad := core.AppendChunkIndexFooterV5(append([]byte(nil), blob[:framesEnd]...), framesEnd, lie)
+		bad := core.AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 5, framesEnd, lie)
 		if _, err := open(bad); !errors.Is(err, core.ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
@@ -377,7 +377,7 @@ func TestOpenReaderAtV5Hostile(t *testing.T) {
 	t.Run("footer codec disagrees with frame", func(t *testing.T) {
 		lie := append([]core.IndexEntry(nil), entries...)
 		lie[0].Codec = core.CodecHiTP // valid ID, wrong chunk
-		bad := core.AppendChunkIndexFooterV5(append([]byte(nil), blob[:framesEnd]...), framesEnd, lie)
+		bad := core.AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 5, framesEnd, lie)
 		ra, err := open(bad)
 		if err != nil {
 			t.Fatalf("open refused a self-consistent (if lying) index: %v", err)
@@ -496,7 +496,7 @@ func TestOpenReaderAtHostileInputs(t *testing.T) {
 		}
 		lie := append([]core.IndexEntry(nil), entries...)
 		lie[len(lie)-1].FrameOff = int64(len(blob)) + 50
-		bad := core.AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), framesEnd, lie)
+		bad := core.AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 4, framesEnd, lie)
 		if _, err := open(bad); !errors.Is(err, core.ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
@@ -517,7 +517,7 @@ func TestOpenReaderAtHostileInputs(t *testing.T) {
 		}
 		lie := append([]core.IndexEntry(nil), entries...)
 		lie[1].FrameOff++
-		bad := core.AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), framesEnd, lie)
+		bad := core.AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 4, framesEnd, lie)
 		ra, err := OpenReaderAt(bytes.NewReader(bad), int64(len(bad)))
 		if err != nil {
 			t.Fatalf("open refused a self-consistent (if lying) index: %v", err)

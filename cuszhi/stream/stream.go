@@ -6,17 +6,20 @@
 // them into slabs of chunkPlanes planes along the slowest dimension,
 // compresses the shards concurrently on a worker pool, and frames them
 // into a multi-chunk container on the underlying io.Writer — with the
-// frames emitted in order, so the output is deterministic. By default the
-// container is seekable format v4: a chunk-index footer at the tail lets
-// OpenReaderAt decode any plane range while reading only the covering
-// shards. With WithAutoMode the container is heterogeneous format v5:
-// every shard is compressed by whichever registered codec scores best on
-// a sample of it, and the chunk frames and index footer record the
-// per-chunk codec wire IDs. A Reader reverses the process sequentially,
-// decompressing chunks concurrently while serving the reconstruction as a
-// byte stream. All
-// formats interoperate with the one-shot API: cuszhi.Decompress reads
-// every container version and stream.NewReader reads v1 blobs.
+// frames emitted in order, so the output is deterministic. The container
+// is seekable: a chunk-index footer at the tail lets OpenReaderAt decode
+// any plane range while reading only the covering shards. An assembly
+// mode writes format v4; a backend mode (fzgpu, szp, szx) and auto mode
+// write format v5, whose chunk frames and index footer record each
+// chunk's codec wire ID — with WithAutoMode every shard is compressed by
+// whichever registered codec scores best on a sample of it. Each shard
+// goes through core.EncodeShard, the one per-shard body every chunked
+// writer shares, so Compress/CompressAbs (a Writer over a buffer) and
+// cuszhi.WithChunkPlanes emit the same bytes for the same mode. A Reader
+// reverses the process sequentially, decompressing chunks concurrently
+// while serving the reconstruction as a byte stream. All formats
+// interoperate with the one-shot API: cuszhi.Decompress reads every
+// container version and stream.NewReader reads v1 blobs.
 //
 //	w, _ := stream.NewWriter(f, dims, absEB, stream.WithMode(cuszhi.ModeTP))
 //	io.Copy(w, rawFile) // little-endian float32 bytes
@@ -25,6 +28,7 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -92,10 +96,11 @@ func WithRelativeEB() Option {
 }
 
 // WithIndex controls whether the Writer finishes its container with a
-// chunk-index footer (format v4), making the output seekable through
-// OpenReaderAt. It is on by default; WithIndex(false) reverts to the plain
-// v2/v3 layout for consumers pinned to the older formats. Auto mode
-// requires the index (its v5 footer records each chunk's codec ID).
+// chunk-index footer (format v4/v5), making the output seekable through
+// OpenReaderAt. It is on by default; WithIndex(false) reverts an assembly
+// mode to the plain v2/v3 layout for consumers pinned to the older
+// formats. Backend and auto modes require the index (their v5 footer
+// records each chunk's codec ID).
 func WithIndex(on bool) Option {
 	return func(c *config) { c.index = on }
 }
@@ -146,6 +151,17 @@ func WithFillValue(v float32) Option {
 	return func(c *config) { c.fill = v }
 }
 
+// spec resolves the configured mode and selection policy into the spec of
+// a version-ver container (0: the newest layout the mode needs) through
+// core.ResolveEncodeSpec, the resolver cuszhi.New uses too.
+func (c *config) spec(ver int) (core.EncodeSpec, error) {
+	spec, err := core.ResolveEncodeSpec(string(c.mode), c.policy, ver)
+	if err != nil {
+		return spec, fmt.Errorf("stream: %w", err)
+	}
+	return spec, nil
+}
+
 func newConfig(opts []Option) config {
 	c := config{mode: cuszhi.ModeCR, dev: gpusim.Default, chunkPlanes: DefaultChunkPlanes,
 		index: true, fill: float32(math.NaN())}
@@ -158,14 +174,11 @@ func newConfig(opts []Option) config {
 // ---------------------------------------------------------------------------
 // Writer.
 
-// wframe is a compressed chunk frame annotated with its plane span and
-// (auto mode) its codec, so the flusher can build the v4/v5 chunk index as
-// the frames stream out.
+// wframe is a compressed chunk frame with its index entry, so the flusher
+// can build the v4/v5 chunk index as the frames stream out.
 type wframe struct {
-	data     []byte
-	planeOff int
-	planes   int
-	codec    core.CodecID // the shard's codec wire ID (v5 containers)
+	data  []byte
+	entry core.IndexEntry // FrameOff set by the flusher
 }
 
 // Writer streams a field into a chunked container. Feed it exactly
@@ -178,22 +191,14 @@ type Writer struct {
 	w         io.Writer
 	f         File  // appendable sink (grow mode); nil for plain writers
 	grow      bool  // appendable store: no declared total, Close reseals
-	ver       int   // container version being continued (grow mode)
 	headerLen int64 // global header length on f (grow mode)
 	dev       *gpusim.Device
-	opts      core.Options
-	cd        core.Codec // fixed backend chunk codec (format v5), nil otherwise
+	spec      core.EncodeSpec // how every shard is encoded and framed
 	dims      []int
-	eb        float64              // absolute bound, or relative when rel
-	rel       bool                 // per-shard relative bounds (format v3/v4)
-	index     bool                 // finish with a chunk-index footer (format v4/v5)
-	auto      bool                 // per-shard codec selection (format v5)
-	pol       core.SelectionPolicy // auto-mode ranking policy
-	rangeHdr  bool                 // frames carry per-shard min/max (v3 layout)
-	ps        int                  // elements per plane
-	cp        int                  // planes per shard
-	tot       int                  // elements in the whole field (0 in grow mode)
-	plane     int                  // planes submitted so far
+	ps        int // elements per plane
+	cp        int // planes per shard
+	tot       int // elements in the whole field (0 in grow mode)
+	plane     int // planes submitted so far
 
 	partial []byte         // trailing bytes of an incomplete value (<4)
 	vals    []float32      // accumulating current shard
@@ -233,55 +238,27 @@ type AutoSelection struct {
 // NewWriter writes the container header to w and returns a Writer for a
 // field of the given dims (slowest first) under error bound eb — absolute
 // by default, or value-range-relative with WithRelativeEB (resolved per
-// shard). The container is seekable format v4 (chunk-index footer) unless
-// WithIndex(false) selects the plain v2/v3 layout. With WithAutoMode (or
-// WithMode(cuszhi.ModeAuto)) each shard is compressed by whichever
-// registered codec scores best on a sample of it, and the container is
-// format v5 — the per-chunk codec IDs live in the frames and the index
-// footer, so the index cannot be disabled in auto mode.
+// shard). An assembly mode writes seekable format v4 (chunk-index footer)
+// unless WithIndex(false) selects the plain v2/v3 layout. A backend mode,
+// or WithAutoMode (each shard compressed by whichever registered codec
+// scores best on a sample of it), writes format v5 — the per-chunk codec
+// IDs live in the frames and the index footer, so the index cannot be
+// disabled there.
 func NewWriter(w io.Writer, dims []int, eb float64, opt ...Option) (*Writer, error) {
 	cfg := newConfig(opt)
-	auto := cfg.mode == cuszhi.ModeAuto
-	var opts core.Options
-	var cd core.Codec
-	var pol core.SelectionPolicy
-	var err error
-	if auto {
-		if !cfg.index {
-			return nil, fmt.Errorf("stream: mode %q writes per-chunk codec IDs to the index footer; drop WithIndex(false)", cfg.mode)
-		}
-		if pol, err = core.PolicyByName(cfg.policy); err != nil {
-			return nil, fmt.Errorf("stream: %w", err)
-		}
-	} else {
-		if cfg.policy != "" {
-			return nil, fmt.Errorf("stream: WithAutoPolicy(%q) needs WithAutoMode; mode is %q", cfg.policy, cfg.mode)
-		}
-		opts, err = core.ModeOptions(string(cfg.mode))
-		if err != nil {
-			// Backend chunk codecs (fzgpu/szp/szx) have no Options assembly;
-			// they stream as format v5 with the codec's wire ID per chunk.
-			backend, ok := core.CodecByName(string(cfg.mode))
-			if !ok {
-				return nil, fmt.Errorf("stream: unknown mode %q", cfg.mode)
-			}
-			if !cfg.index {
-				return nil, fmt.Errorf("stream: mode %q writes per-chunk codec IDs to the index footer; drop WithIndex(false)", cfg.mode)
-			}
-			cd = backend
+	ver := 0
+	if !cfg.index {
+		ver = 2 // plain layout; v3 when frames must carry ranges
+		if cfg.relative {
+			ver = 3
 		}
 	}
-	var header []byte
-	switch {
-	case auto || cd != nil:
-		header, err = core.AppendChunkedHeaderV5(nil, dims, eb, cfg.relative, cfg.chunkPlanes)
-	case cfg.index:
-		header, err = core.AppendChunkedHeaderV4(nil, dims, eb, cfg.relative, cfg.chunkPlanes)
-	case cfg.relative:
-		header, err = core.AppendChunkedHeaderV3(nil, dims, eb, true, cfg.chunkPlanes)
-	default:
-		header, err = core.AppendChunkedHeader(nil, dims, eb, cfg.chunkPlanes)
+	spec, err := cfg.spec(ver)
+	if err != nil {
+		return nil, err
 	}
+	spec.EB, spec.Relative = eb, cfg.relative
+	header, err := core.AppendChunkedHeaderSized(nil, spec.Version, dims, eb, cfg.relative, cfg.chunkPlanes, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -290,24 +267,17 @@ func NewWriter(w io.Writer, dims []int, eb float64, opt ...Option) (*Writer, err
 	}
 	ps := planeElems(dims)
 	sw := &Writer{
-		w:        w,
-		dev:      cfg.dev,
-		opts:     opts,
-		cd:       cd,
-		dims:     append([]int(nil), dims...),
-		eb:       eb,
-		rel:      cfg.relative,
-		index:    cfg.index,
-		auto:     auto,
-		pol:      pol,
-		rangeHdr: cfg.index || cfg.relative,
-		ps:       ps,
-		cp:       cfg.chunkPlanes,
-		tot:      ps * dims[0],
-		wOff:     int64(len(header)),
-		slabs:    make(chan []float32, 2*cfg.dev.Workers()+2),
-		pool:     pipeline.New[wframe](cfg.dev.Workers(), 0),
-		flushed:  make(chan struct{}),
+		w:       w,
+		dev:     cfg.dev,
+		spec:    spec,
+		dims:    append([]int(nil), dims...),
+		ps:      ps,
+		cp:      cfg.chunkPlanes,
+		tot:     ps * dims[0],
+		wOff:    int64(len(header)),
+		slabs:   make(chan []float32, 2*cfg.dev.Workers()+2),
+		pool:    pipeline.New[wframe](cfg.dev.Workers(), 0),
+		flushed: make(chan struct{}),
 	}
 	sw.vals = make([]float32, 0, sw.cp*ps)
 	go sw.flusher()
@@ -327,9 +297,8 @@ func (w *Writer) flusher() {
 		}
 		if err == nil && w.err() == nil {
 			if _, err = w.w.Write(frame.data); err == nil {
-				w.idx = append(w.idx, core.IndexEntry{
-					FrameOff: w.wOff, PlaneOff: frame.planeOff, Planes: frame.planes,
-					Codec: frame.codec})
+				frame.entry.FrameOff = w.wOff
+				w.idx = append(w.idx, frame.entry)
 				w.wOff += int64(len(frame.data))
 			}
 		}
@@ -452,8 +421,9 @@ func (w *Writer) WriteValues(vs []float32) error {
 
 // submitShard hands the accumulated slab to the pool and starts a fresh
 // accumulation buffer (recycled from a completed shard when one is free).
-// Each job compresses through a pooled codec context, so steady-state
-// streaming performs near-zero allocations per shard.
+// Each job runs core.EncodeShard through a pooled codec context, so
+// steady-state streaming performs near-zero allocations per shard; a
+// per-shard codec pick is recorded for AutoSelections.
 func (w *Writer) submitShard() {
 	shard := w.vals
 	offset := w.plane
@@ -465,59 +435,16 @@ func (w *Writer) submitShard() {
 	default:
 		w.vals = make([]float32, 0, w.cp*w.ps)
 	}
-	dev, eb, rel, rangeHdr, auto, opts, cd := w.dev, w.eb, w.rel, w.rangeHdr, w.auto, w.opts, w.cd
+	dev, spec := w.dev, w.spec
 	shardDims := append([]int{planes}, w.dims[1:]...)
 	w.pool.Submit(func() (wframe, error) {
 		ctx := arena.Get()
 		defer arena.Put(ctx)
-		absEB := eb
-		var minV, maxV float32
-		if rangeHdr {
-			minV, maxV, _ = core.ShardRange(shard) // all-NaN: zero range below
+		frame, entry, pick, err := core.EncodeShard(ctx, dev, shard, shardDims, offset, spec)
+		if err != nil {
+			return wframe{}, fmt.Errorf("stream: %w", err)
 		}
-		if rel {
-			rng := float64(maxV) - float64(minV)
-			if rng > 0 {
-				absEB = eb * rng
-			} else {
-				// Constant shard: the field's true range is unknown here,
-				// so any range-derived fallback could exceed the global
-				// bound. Instead pick a bound below half a float32 ulp of
-				// the value — mag*1e-8 for normal magnitudes, floored at
-				// 1e-46 (< half the smallest denormal spacing) — so the
-				// reconstruction is bit-exact and satisfies every
-				// possible global bound.
-				absEB = math.Abs(float64(minV)) * 1e-8
-				if absEB < 1e-46 {
-					absEB = 1e-46
-				}
-			}
-		}
-		if cd != nil {
-			// Fixed backend codec: every shard is compressed by the one
-			// registered codec and framed with its wire ID (format v5).
-			payload, err := cd.Compress(ctx, dev, shard, shardDims, absEB)
-			if err != nil {
-				return wframe{}, fmt.Errorf("stream: shard at plane %d: %w", offset, err)
-			}
-			frame := core.AppendChunkFrameV5(nil, cd, offset, shardDims, minV, maxV, payload)
-			select {
-			case w.slabs <- shard:
-			default:
-			}
-			return wframe{data: frame, planeOff: offset, planes: planes, codec: cd.ID()}, nil
-		}
-		if auto {
-			// Per-shard adaptive dispatch: the estimator cascade scores the
-			// candidates on a sample of this shard under its resolved
-			// absolute bound, the policy picks, the winner alone compresses,
-			// and the frame carries its wire ID (format v5). The pick — with
-			// its estimator-vs-actual delta — is recorded for
-			// AutoSelections.
-			frame, id, pick, err := core.CompressShardAutoPolicy(ctx, dev, shard, shardDims, offset, absEB, minV, maxV, w.pol)
-			if err != nil {
-				return wframe{}, fmt.Errorf("stream: shard at plane %d: %w", offset, err)
-			}
+		if pick.Codec != "" {
 			w.selMu.Lock()
 			w.sels = append(w.sels, AutoSelection{
 				PlaneOff: offset, Planes: planes, Codec: pick.Codec,
@@ -525,27 +452,12 @@ func (w *Writer) submitShard() {
 				EstRatio: pick.EstRatio, Ratio: pick.ActualRatio,
 			})
 			w.selMu.Unlock()
-			select {
-			case w.slabs <- shard:
-			default:
-			}
-			return wframe{data: frame, planeOff: offset, planes: planes, codec: id}, nil
-		}
-		payload, err := core.CompressCtx(ctx, dev, shard, shardDims, absEB, opts)
-		if err != nil {
-			return wframe{}, fmt.Errorf("stream: shard at plane %d: %w", offset, err)
-		}
-		var frame []byte
-		if rangeHdr {
-			frame = core.AppendChunkFrameV3(nil, opts, offset, shardDims, minV, maxV, payload)
-		} else {
-			frame = core.AppendChunkFrame(nil, opts, offset, shardDims, payload)
 		}
 		select {
 		case w.slabs <- shard: // recycle the slab for a future shard
 		default:
 		}
-		return wframe{data: frame, planeOff: offset, planes: planes}, nil
+		return wframe{data: frame, entry: entry}, nil
 	})
 }
 
@@ -609,17 +521,10 @@ func (w *Writer) Close() error {
 		}
 		return w.err()
 	}
-	if w.index && w.err() == nil {
+	if w.spec.Version >= 4 && w.err() == nil {
 		// Every frame reached the sink; finish the container with the
-		// chunk-index footer so the output is seekable from its tail. Auto
-		// and backend-codec modes write the v5 footer, whose entries carry
-		// the codec IDs.
-		var footer []byte
-		if w.auto || w.cd != nil {
-			footer = core.AppendChunkIndexFooterV5(nil, w.wOff, w.idx)
-		} else {
-			footer = core.AppendChunkIndexFooter(nil, w.wOff, w.idx)
-		}
+		// chunk-index footer so the output is seekable from its tail.
+		footer := core.AppendChunkIndexFooter(nil, w.spec.Version, w.wOff, w.idx)
 		if _, err := w.w.Write(footer); err != nil {
 			w.setErr(err)
 		}
@@ -644,7 +549,7 @@ func (w *Writer) seal() error {
 	dims := append([]int(nil), w.dims...)
 	dims[0] = w.plane
 	return sealStore(w.f, &sealSpec{
-		ver: w.ver, dims: dims, eb: w.eb, rel: w.rel, cp: w.cp,
+		ver: w.spec.Version, dims: dims, eb: w.spec.EB, rel: w.spec.Relative, cp: w.cp,
 		headerLen: w.headerLen, entries: w.idx, framesEnd: w.wOff,
 	})
 }
@@ -958,15 +863,22 @@ func Compress(data []float32, dims []int, relEB float64, opt ...Option) ([]byte,
 	return CompressAbs(data, dims, cuszhi.AbsEB(data, relEB), opt...)
 }
 
-// CompressAbs is Compress with an absolute error bound.
+// CompressAbs is Compress with an absolute error bound: a Writer over an
+// in-memory buffer, so every Writer option applies.
 func CompressAbs(data []float32, dims []int, absEB float64, opt ...Option) ([]byte, error) {
-	cfg := newConfig(opt)
-	c, err := cuszhi.New(cfg.mode,
-		cuszhi.WithWorkers(cfg.dev.Workers()), cuszhi.WithChunkPlanes(cfg.chunkPlanes))
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, dims, absEB, opt...)
 	if err != nil {
 		return nil, err
 	}
-	return c.CompressAbs(data, dims, absEB)
+	err = w.WriteValues(data)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // Decompress decodes a container of either format, reassembling v2 chunks

@@ -2,12 +2,14 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/cuszhi"
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -453,7 +455,10 @@ func TestReaderRejectsTruncatedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(blob[:len(blob)-7]))
+	// A sequential Reader never reads the v4 footer, so cut inside the
+	// last frame, which ends where the tail's backpointer says.
+	framesEnd := binary.LittleEndian.Uint64(blob[len(blob)-core.IndexTailLen:])
+	r, err := NewReader(bytes.NewReader(blob[:framesEnd-7]))
 	if err != nil {
 		return // refusing at header time is fine too
 	}

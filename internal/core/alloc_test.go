@@ -73,12 +73,12 @@ func TestAllocsChunkedSteadyState(t *testing.T) {
 	data := rampField(64 * 32 * 32)
 	dev1 := gpusim.New(1)
 	opts := CuszL()
-	blob, err := CompressChunked(dev1, data, dims, 0.01, opts, 16)
+	blob, err := CompressChunked(dev1, data, dims, 16, v2Spec(opts, 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(10, func() {
-		b, err := CompressChunked(dev1, data, dims, 0.01, opts, 16)
+		b, err := CompressChunked(dev1, data, dims, 16, v2Spec(opts, 0.01))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,11 +144,11 @@ func TestCtxNoAliasingBetweenFields(t *testing.T) {
 	// Public chunked decode path: worker contexts recycle across shards
 	// and across calls; previously returned fields must stay intact.
 	dev4 := gpusim.New(4)
-	blobA, err := CompressChunked(dev4, fieldA, dims, 0.02, CuszL(), 6)
+	blobA, err := CompressChunked(dev4, fieldA, dims, 6, v2Spec(CuszL(), 0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobB, err := CompressChunked(dev4, fieldB, dims, 0.02, CuszL(), 6)
+	blobB, err := CompressChunked(dev4, fieldB, dims, 6, v2Spec(CuszL(), 0.02))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ package core
 // fused quant-code histograms, and a strided probe prices the backends —
 // no candidate trial-compresses the input. A SelectionPolicy (policy.go)
 // then decides the winner, and only the winner compresses for real.
-// SelectShardCodec applies the same scoring per shard, which is what makes
+// SelectShardCodecPolicy applies the same scoring per shard, which makes
 // heterogeneous (format v5) containers adaptive at near-fixed-mode speed:
 // a field whose character changes along the slow dimension gets a
 // different codec where a different codec wins.
@@ -80,25 +80,16 @@ func sampleSlab(data []float32, dims []int, frac float64) ([]float32, []int) {
 }
 
 // AutoSelect scores every candidate on a sample of data via the estimator
-// cascade under the absolute bound eb and returns the winner.
-func AutoSelect(dev *gpusim.Device, data []float32, dims []int, eb float64) (*Selection, error) {
-	return AutoSelectCtx(nil, dev, data, dims, eb)
-}
-
-// AutoSelectCtx is AutoSelect drawing estimator scratch from a reusable
-// codec context, so repeated selections stop allocating working sets. The
-// context is Reset before returning: any scratch the caller obtained from
-// it earlier is invalidated.
-func AutoSelectCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, dims []int, eb float64) (*Selection, error) {
-	return AutoSelectPolicy(ctx, dev, data, dims, eb, DefaultSelectionPolicy)
-}
-
-// AutoSelectPolicy is the single selection implementation: AutoSelect,
-// AutoSelectCtx and SelectShardCodec all route through it. The estimator
-// cascade prices every candidate and pol picks the winner.
-func AutoSelectPolicy(ctx *arena.Ctx, dev *gpusim.Device, data []float32, dims []int, eb float64, pol SelectionPolicy) (*Selection, error) {
+// cascade under the absolute bound eb and returns pol's winner (nil pol =
+// DefaultSelectionPolicy). Estimator scratch comes from ctx (nil allowed),
+// which is Reset before returning: any scratch the caller obtained from it
+// earlier is invalidated.
+func AutoSelect(ctx *arena.Ctx, dev *gpusim.Device, data []float32, dims []int, eb float64, pol SelectionPolicy) (*Selection, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("core: cannot auto-select on empty data")
+	}
+	if err := checkDims(data, dims); err != nil {
+		return nil, err
 	}
 	if pol == nil {
 		pol = DefaultSelectionPolicy
@@ -153,19 +144,12 @@ func trialScoreSlab(ctx *arena.Ctx, dev *gpusim.Device, slab []float32, slabDims
 	return sizes, nil
 }
 
-// SelectShardCodec estimates every auto-select candidate's size on one
-// shard (through ctx, which it Resets before returning) and returns the
-// default policy's winner — the per-chunk
-// selector the v5 streaming writer and CompressChunkedAuto run inside
-// their pipeline workers. eb is the shard's absolute bound.
-func SelectShardCodec(ctx *arena.Ctx, dev *gpusim.Device, shard []float32, dims []int, eb float64) (Codec, error) {
-	cd, _, err := SelectShardCodecPolicy(ctx, dev, shard, dims, eb, DefaultSelectionPolicy)
-	return cd, err
-}
-
-// SelectShardCodecPolicy is SelectShardCodec under an explicit policy,
-// also returning the winner's size estimate so callers can report
-// estimator-vs-actual deltas.
+// SelectShardCodecPolicy estimates every auto-select candidate's size on
+// one shard (through ctx, which it Resets before returning) and returns
+// pol's winner (nil = DefaultSelectionPolicy) with its size estimate, so
+// callers can report estimator-vs-actual deltas. It is the per-chunk
+// selector EncodeShard runs inside the pipeline workers; eb is the shard's
+// absolute bound.
 func SelectShardCodecPolicy(ctx *arena.Ctx, dev *gpusim.Device, shard []float32, dims []int, eb float64, pol SelectionPolicy) (Codec, CandidateEstimate, error) {
 	if len(shard) == 0 {
 		return nil, CandidateEstimate{}, fmt.Errorf("core: cannot select a codec for an empty shard")

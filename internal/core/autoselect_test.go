@@ -15,7 +15,7 @@ func TestAutoSelectPicksAWinner(t *testing.T) {
 		t.Fatal(err)
 	}
 	eb := metrics.AbsEB(f.Data, 1e-2)
-	sel, err := AutoSelect(dev, f.Data, f.Dims, eb)
+	sel, err := AutoSelect(nil, dev, f.Data, f.Dims, eb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +50,12 @@ func TestAutoSelectCtxReusesScratch(t *testing.T) {
 	data := rampField(32 * 24 * 24)
 	dev1 := gpusim.New(1) // single worker: no per-launch goroutine allocs
 	ctx := arena.NewCtx()
-	cd, err := SelectShardCodec(ctx, dev1, data, dims, 0.02)
+	cd, _, err := SelectShardCodecPolicy(ctx, dev1, data, dims, 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(10, func() {
-		got, err := SelectShardCodec(ctx, dev1, data, dims, 0.02)
+		got, _, err := SelectShardCodecPolicy(ctx, dev1, data, dims, 0.02, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,15 +64,15 @@ func TestAutoSelectCtxReusesScratch(t *testing.T) {
 		}
 	})
 	if n > 300 {
-		t.Fatalf("steady-state SelectShardCodec allocates %v/op, want <= 300", n)
+		t.Fatalf("steady-state SelectShardCodecPolicy allocates %v/op, want <= 300", n)
 	}
 
-	// AutoSelectCtx agrees with the context-free path on the same data.
-	want, err := AutoSelect(dev1, data, dims, 0.02)
+	// Selection through a ctx agrees with the context-free path.
+	want, err := AutoSelect(nil, dev1, data, dims, 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AutoSelectCtx(ctx, dev1, data, dims, 0.02)
+	got, err := AutoSelect(ctx, dev1, data, dims, 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestAutoSelectThenCompressHonoursBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	eb := metrics.AbsEB(f.Data, 1e-3)
-	sel, err := AutoSelect(dev, f.Data, f.Dims, eb)
+	sel, err := AutoSelect(nil, dev, f.Data, f.Dims, eb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +115,14 @@ func TestAutoSelectSmallInput(t *testing.T) {
 	for i := range data {
 		data[i] = float32(i)
 	}
-	sel, err := AutoSelect(dev, data, []int{4, 4, 4}, 1e-3)
+	sel, err := AutoSelect(nil, dev, data, []int{4, 4, 4}, 1e-3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sel.Options.Name == "" {
 		t.Fatal("no selection")
 	}
-	if _, err := AutoSelect(dev, nil, nil, 1e-3); err == nil {
+	if _, err := AutoSelect(nil, dev, nil, nil, 1e-3, nil); err == nil {
 		t.Fatal("want error on empty data")
 	}
 }
@@ -168,7 +168,7 @@ func TestSampleSlabPreservesRank(t *testing.T) {
 		t.Fatalf("2-D slab = %d %v", len(slab2), sdims2)
 	}
 	// And AutoSelect itself works end to end on a rank-4 field.
-	if _, err := AutoSelect(dev, data, dims4, 0.05); err != nil {
+	if _, err := AutoSelect(nil, dev, data, dims4, 0.05, nil); err != nil {
 		t.Fatalf("AutoSelect on rank-4 field: %v", err)
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"repro/internal/bitio"
 	"repro/internal/fzgpu"
 	"repro/internal/gpusim"
-	"repro/internal/pipeline"
 	"repro/internal/szp"
 	"repro/internal/szx"
 )
@@ -42,9 +41,9 @@ const (
 
 // backendCodec adapts one alternate backend package to the Codec
 // interface. All three backends take absolute error bounds only, which the
-// selection paths guarantee: SelectShardCodec and AutoSelectCtx always
+// selection paths guarantee: SelectShardCodecPolicy and AutoSelect always
 // score under a resolved absolute bound (relative-EB streams derive it
-// from the shard's value range before scoring — see stream.Writer).
+// from the shard's value range before scoring — see EncodeShard).
 type backendCodec struct {
 	id         CodecID
 	name       string
@@ -158,61 +157,4 @@ func init() {
 	})
 	RegisterCodec(&backendCodec{id: CodecSZp, name: "szp", compress: szpC, decompress: szpD})
 	RegisterCodec(&backendCodec{id: CodecSZx, name: "szx", compress: szxC, decompress: szxD})
-}
-
-// CompressChunkedCodec encodes data into a format-v5 container in which
-// every chunk is compressed by the one registered codec cd — the
-// fixed-backend counterpart of CompressChunkedAuto, used by the cuszhi
-// facade and the CLI for -mode fzgpu|szp|szx (backend-coded chunks only
-// exist in v5 frames, so even a single-chunk "one-shot" backend container
-// takes this path). Shards compress concurrently through per-worker codec
-// contexts; eb is absolute.
-func CompressChunkedCodec(dev *gpusim.Device, data []float32, dims []int, eb float64, cd Codec, chunkPlanes int) ([]byte, error) {
-	total := 1
-	for _, d := range dims {
-		total *= d
-	}
-	if len(dims) == 0 || total != len(data) {
-		return nil, fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
-	}
-	out, err := AppendChunkedHeaderV5(nil, dims, eb, false, chunkPlanes)
-	if err != nil {
-		return nil, err
-	}
-	n := numChunks(dims, chunkPlanes)
-	ps := planeSize(dims)
-	ctxs := workerCtxs(dev.Workers(), n)
-	defer releaseCtxs(ctxs)
-	type cframe struct {
-		data   []byte
-		offset int
-		planes int
-	}
-	frames, err := pipeline.MapWorker(dev.Workers(), n, func(w, i int) (cframe, error) {
-		ctx := ctxs[w]
-		ctx.Reset()
-		offset := i * chunkPlanes
-		planes := chunkPlanes
-		if offset+planes > dims[0] {
-			planes = dims[0] - offset
-		}
-		shard := data[offset*ps : (offset+planes)*ps]
-		shardDims := append([]int{planes}, dims[1:]...)
-		minV, maxV, _ := ShardRange(shard)
-		payload, err := cd.Compress(ctx, dev, shard, shardDims, eb)
-		if err != nil {
-			return cframe{}, fmt.Errorf("core: shard at plane %d: %w", offset, err)
-		}
-		frame := AppendChunkFrameV5(nil, cd, offset, shardDims, minV, maxV, payload)
-		return cframe{data: frame, offset: offset, planes: planes}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	entries := make([]IndexEntry, len(frames))
-	for i, f := range frames {
-		entries[i] = IndexEntry{FrameOff: int64(len(out)), PlaneOff: f.offset, Planes: f.planes, Codec: cd.ID()}
-		out = append(out, f.data...)
-	}
-	return AppendChunkIndexFooterV5(out, int64(len(out)), entries), nil
 }

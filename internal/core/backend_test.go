@@ -94,7 +94,7 @@ func TestCompressChunkedCodec(t *testing.T) {
 	for _, name := range backendNames {
 		cd, _ := CodecByName(name)
 		for _, cp := range []int{4, 12} {
-			blob, err := CompressChunkedCodec(dev, data, dims, 0.02, cd, cp)
+			blob, err := CompressChunked(dev, data, dims, cp, EncodeSpec{Version: 5, EB: 0.02, Codec: cd})
 			if err != nil {
 				t.Fatalf("%s/cp=%d: %v", name, cp, err)
 			}
@@ -201,7 +201,7 @@ func TestBackendChunkHostileIDs(t *testing.T) {
 }
 
 // TestBackendModesViaAutoCandidates: the widened candidate set includes
-// the backends and SelectShardCodec still returns a working codec on data
+// the backends and SelectShardCodecPolicy still returns a working codec on data
 // engineered so a backend wins (near-constant values: szp's zero-block
 // bitmap or szx's constant blocks beat the assemblies' per-shard
 // overheads at tiny shard sizes).
@@ -211,7 +211,7 @@ func TestBackendCandidatesSelectable(t *testing.T) {
 	}
 	shard := make([]float32, 64*8*8) // constant: the degenerate best case
 	ctx := arena.NewCtx()
-	cd, err := SelectShardCodec(ctx, gpusim.New(1), shard, []int{64, 8, 8}, 0.01)
+	cd, _, err := SelectShardCodecPolicy(ctx, gpusim.New(1), shard, []int{64, 8, 8}, 0.01, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,12 +108,12 @@ func TestBatchedContainersMatchScalar(t *testing.T) {
 					t.Fatalf("backend %q not registered", bk)
 				}
 				setBatchedKernels(false)
-				want, err := CompressChunkedCodec(dev, f.Data, f.Dims, eb, cd, 8)
+				want, err := CompressChunked(dev, f.Data, f.Dims, 8, EncodeSpec{Version: 5, EB: eb, Codec: cd})
 				if err != nil {
 					t.Fatalf("%s %v %s scalar: %v", name, dims, bk, err)
 				}
 				setBatchedKernels(true)
-				got, err := CompressChunkedCodec(dev, f.Data, f.Dims, eb, cd, 8)
+				got, err := CompressChunked(dev, f.Data, f.Dims, 8, EncodeSpec{Version: 5, EB: eb, Codec: cd})
 				if err != nil {
 					t.Fatalf("%s %v %s batched: %v", name, dims, bk, err)
 				}

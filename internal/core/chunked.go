@@ -171,74 +171,6 @@ type ChunkInfo struct {
 // ---------------------------------------------------------------------------
 // Encoding.
 
-// AppendChunkedHeader serializes the v2 global header.
-func AppendChunkedHeader(dst []byte, dims []int, eb float64, chunkPlanes int) ([]byte, error) {
-	return appendChunkedHeader(dst, version2, 0, dims, eb, chunkPlanes)
-}
-
-// AppendChunkedHeaderV3 serializes a v3 global header. relative marks the
-// eb field as value-range-relative (each shard payload then embeds its own
-// absolute bound, derived from the shard's value range).
-func AppendChunkedHeaderV3(dst []byte, dims []int, eb float64, relative bool, chunkPlanes int) ([]byte, error) {
-	var flags byte
-	if relative {
-		flags = flagRelEB
-	}
-	return appendChunkedHeader(dst, version3, flags, dims, eb, chunkPlanes)
-}
-
-// AppendChunkedHeaderV4 serializes a v4 (seekable) global header. The body
-// uses v3 framing — every chunk frame carries its value range — and the
-// container must be finished with AppendChunkIndexFooter.
-func AppendChunkedHeaderV4(dst []byte, dims []int, eb float64, relative bool, chunkPlanes int) ([]byte, error) {
-	var flags byte
-	if relative {
-		flags = flagRelEB
-	}
-	return appendChunkedHeader(dst, version4, flags, dims, eb, chunkPlanes)
-}
-
-// AppendChunkedHeaderV5 serializes a v5 (heterogeneous, seekable) global
-// header. Frames must be written with AppendChunkFrameV5 and the container
-// finished with AppendChunkIndexFooterV5.
-func AppendChunkedHeaderV5(dst []byte, dims []int, eb float64, relative bool, chunkPlanes int) ([]byte, error) {
-	var flags byte
-	if relative {
-		flags = flagRelEB
-	}
-	return appendChunkedHeader(dst, version5, flags, dims, eb, chunkPlanes)
-}
-
-func appendChunkedHeader(dst []byte, ver, flags byte, dims []int, eb float64, chunkPlanes int) ([]byte, error) {
-	if eb <= 0 || math.IsInf(eb, 0) || math.IsNaN(eb) {
-		return nil, fmt.Errorf("core: invalid error bound %v", eb)
-	}
-	if len(dims) == 0 || len(dims) > 8 {
-		return nil, fmt.Errorf("core: invalid dims %v", dims)
-	}
-	for _, d := range dims {
-		if d <= 0 {
-			return nil, fmt.Errorf("core: invalid dims %v", dims)
-		}
-	}
-	if chunkPlanes <= 0 {
-		return nil, fmt.Errorf("core: chunk planes %d must be positive", chunkPlanes)
-	}
-	if n := numChunks(dims, chunkPlanes); n > maxChunks {
-		return nil, fmt.Errorf("core: %d chunks exceeds the %d limit; raise chunk planes", n, maxChunks)
-	}
-	dst = append(dst, magic[:]...)
-	dst = append(dst, ver, flags)
-	dst = bitio.AppendUvarint(dst, uint64(len(dims)))
-	for _, d := range dims {
-		dst = bitio.AppendUvarint(dst, uint64(d))
-	}
-	dst = bitio.AppendUint64(dst, math.Float64bits(eb))
-	dst = bitio.AppendUvarint(dst, uint64(chunkPlanes))
-	dst = bitio.AppendUvarint(dst, uint64(numChunks(dims, chunkPlanes)))
-	return dst, nil
-}
-
 // appendUvarintWide serializes v as a LEB128 uvarint of exactly width
 // bytes, padding with zero continuation groups. Every uvarint reader
 // (binary.ReadUvarint, bitio.Uvarint) accepts the non-minimal form, so a
@@ -261,14 +193,16 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// AppendChunkedHeaderSized serializes a chunked global header (any v2–v5
-// version) with an explicit chunk count and, when padTo > 0, an exact byte
-// length. Appendable stores use it to rewrite their header in place as
-// they grow: nchunks may exceed the ceiling division (earlier append
-// sessions can seal short interior chunks), and the dims[0]/nchunks
-// uvarints are widened — non-minimal LEB128, which every uvarint reader
-// accepts — until the header is exactly padTo bytes, so the frames behind
-// it never move. It fails when the minimal header would not fit padTo.
+// AppendChunkedHeaderSized serializes a chunked global header of any v2–v5
+// version; relative (v3+) marks eb as value-range-relative. nchunks 0
+// means the ceiling division of dims[0] by chunkPlanes and padTo 0 means
+// the minimal encoding — what every fresh container writes. Appendable
+// stores pass both to rewrite their header in place as they grow: nchunks
+// may exceed the ceiling division (earlier append sessions can seal short
+// interior chunks), and the dims[0]/nchunks uvarints are widened —
+// non-minimal LEB128, which every uvarint reader accepts — until the
+// header is exactly padTo bytes, so the frames behind it never move. It
+// fails when the minimal header would not fit padTo.
 func AppendChunkedHeaderSized(dst []byte, ver int, dims []int, eb float64, relative bool, chunkPlanes, nchunks, padTo int) ([]byte, error) {
 	if ver < version2 || ver > version5 {
 		return nil, fmt.Errorf("core: version %d is not a chunked format", ver)
@@ -293,6 +227,9 @@ func AppendChunkedHeaderSized(dst []byte, ver int, dims []int, eb float64, relat
 	}
 	if chunkPlanes <= 0 {
 		return nil, fmt.Errorf("core: chunk planes %d must be positive", chunkPlanes)
+	}
+	if nchunks == 0 {
+		nchunks = numChunks(dims, chunkPlanes)
 	}
 	if nchunks < numChunks(dims, chunkPlanes) || nchunks > dims[0] || nchunks > maxChunks {
 		return nil, fmt.Errorf("core: %d chunks is invalid for %d planes of %d", nchunks, dims[0], chunkPlanes)
@@ -330,57 +267,50 @@ func AppendChunkedHeaderSized(dst []byte, ver int, dims []int, eb float64, relat
 	return appendUvarintWide(dst, uint64(nchunks), wn), nil
 }
 
-// AppendChunkFrame serializes one v2 chunk frame (header + payload).
-func AppendChunkFrame(dst []byte, opts Options, offset int, shardDims []int, payload []byte) []byte {
+// appendChunkFrame is the one chunk-frame encoder, for any v2–v5 version:
+// plane offset, shard dims and the packed codec-mode byte, then (v5) the
+// codec wire ID, (v3+) the shard's value range, and the payload length,
+// CRC-32 and payload itself.
+func appendChunkFrame(dst []byte, ver int, mode byte, id CodecID, offset int, shardDims []int, minV, maxV float32, payload []byte) []byte {
 	dst = bitio.AppendUvarint(dst, uint64(offset))
 	for _, d := range shardDims {
 		dst = bitio.AppendUvarint(dst, uint64(d))
 	}
-	dst = append(dst, CodecMode(opts))
+	dst = append(dst, mode)
+	if ver >= version5 {
+		dst = append(dst, byte(id))
+	}
+	if ver >= version3 {
+		dst = bitio.AppendUint32(dst, math.Float32bits(minV))
+		dst = bitio.AppendUint32(dst, math.Float32bits(maxV))
+	}
 	dst = bitio.AppendUvarint(dst, uint64(len(payload)))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	dst = append(dst, crc[:]...)
+	dst = bitio.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 	return append(dst, payload...)
 }
 
-// AppendChunkFrameV3 serializes one v3 chunk frame, which carries the
-// shard's value range between the codec-mode byte and the payload length.
+// AppendChunkFrameV3 serializes one v3/v4 chunk frame for an assembly.
 func AppendChunkFrameV3(dst []byte, opts Options, offset int, shardDims []int, minV, maxV float32, payload []byte) []byte {
-	dst = bitio.AppendUvarint(dst, uint64(offset))
-	for _, d := range shardDims {
-		dst = bitio.AppendUvarint(dst, uint64(d))
-	}
-	dst = append(dst, CodecMode(opts))
-	dst = bitio.AppendUint32(dst, math.Float32bits(minV))
-	dst = bitio.AppendUint32(dst, math.Float32bits(maxV))
-	dst = bitio.AppendUvarint(dst, uint64(len(payload)))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	dst = append(dst, crc[:]...)
-	return append(dst, payload...)
+	return appendChunkFrame(dst, version3, CodecMode(opts), codecInvalid, offset, shardDims, minV, maxV, payload)
 }
 
-// AppendChunkFrameV5 serializes one v5 chunk frame: the v3 layout with the
-// chunk's registered codec wire ID between the codec-mode byte and the
-// value range, so readers can dispatch the chunk without inspecting its
-// payload. For a codec without Options the codec-mode byte is written as
-// 0 — it is advisory there, and frame validation then rests on the codec
-// ID and its footer cross-check alone.
+// AppendChunkFrameV5 serializes one v5 chunk frame for a registered codec.
 func AppendChunkFrameV5(dst []byte, cd Codec, offset int, shardDims []int, minV, maxV float32, payload []byte) []byte {
-	dst = bitio.AppendUvarint(dst, uint64(offset))
-	for _, d := range shardDims {
-		dst = bitio.AppendUvarint(dst, uint64(d))
+	return appendChunkFrame(dst, version5, frameMode(cd), cd.ID(), offset, shardDims, minV, maxV, payload)
+}
+
+// frameMode returns the codec-mode byte cd's frames carry: the packed
+// predictor/pipeline byte of an assembly (cached by the registry for
+// registered ones), or 0 for a codec without Options — advisory there, so
+// v5 frame validation rests on the codec ID and its footer cross-check.
+func frameMode(cd Codec) byte {
+	if mode, ok := codecFrameMode(cd.ID()); ok {
+		return mode
 	}
-	mode, _ := codecFrameMode(cd.ID())
-	dst = append(dst, mode, byte(cd.ID()))
-	dst = bitio.AppendUint32(dst, math.Float32bits(minV))
-	dst = bitio.AppendUint32(dst, math.Float32bits(maxV))
-	dst = bitio.AppendUvarint(dst, uint64(len(payload)))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	dst = append(dst, crc[:]...)
-	return append(dst, payload...)
+	if oc, ok := cd.(optioned); ok {
+		return CodecMode(oc.Options())
+	}
+	return 0
 }
 
 // IndexEntry locates one chunk inside a v4/v5 container: where its frame
@@ -392,27 +322,18 @@ type IndexEntry struct {
 	Codec    CodecID // the chunk's codec wire ID (v5 indexes; 0 otherwise)
 }
 
-// AppendChunkIndexFooter serializes the v4 chunk-index footer. footerOff is
-// the byte offset at which the footer itself begins (i.e. the container
-// length so far — where the last chunk frame ended); it becomes the
-// backpointer stored in the fixed-size tail.
-func AppendChunkIndexFooter(dst []byte, footerOff int64, entries []IndexEntry) []byte {
-	return appendChunkIndexFooter(dst, footerOff, entries, false)
-}
-
-// AppendChunkIndexFooterV5 serializes the v5 chunk-index footer, whose
-// entries additionally record each chunk's codec wire ID.
-func AppendChunkIndexFooterV5(dst []byte, footerOff int64, entries []IndexEntry) []byte {
-	return appendChunkIndexFooter(dst, footerOff, entries, true)
-}
-
-func appendChunkIndexFooter(dst []byte, footerOff int64, entries []IndexEntry, withCodec bool) []byte {
+// AppendChunkIndexFooter serializes the chunk-index footer of a version-ver
+// (v4 or v5) container; v5 entries also record each chunk's codec wire ID.
+// footerOff is the byte offset at which the footer itself begins (the
+// container length so far — where the last chunk frame ended); it becomes
+// the backpointer stored in the fixed-size tail.
+func AppendChunkIndexFooter(dst []byte, ver int, footerOff int64, entries []IndexEntry) []byte {
 	body := bitio.AppendUvarint(nil, uint64(len(entries)))
 	for _, e := range entries {
 		body = bitio.AppendUvarint(body, uint64(e.FrameOff))
 		body = bitio.AppendUvarint(body, uint64(e.PlaneOff))
 		body = bitio.AppendUvarint(body, uint64(e.Planes))
-		if withCodec {
+		if ver >= version5 {
 			body = bitio.AppendUvarint(body, uint64(e.Codec))
 		}
 	}
@@ -523,61 +444,80 @@ func ShardRange(vs []float32) (minV, maxV float32, ok bool) {
 	return minV, maxV, true
 }
 
-// CompressShard compresses one slab of chunkPlanes (or fewer, for the last
-// shard) planes starting at plane `offset` into a framed chunk. data is the
-// full field; the shard is the contiguous sub-slice along dims[0].
-func CompressShard(dev *gpusim.Device, data []float32, dims []int, eb float64, opts Options, offset, planes int) ([]byte, error) {
-	return CompressShardCtx(nil, dev, data, dims, eb, opts, offset, planes)
+// EncodeSpec says how every shard of a chunked container is encoded: the
+// container version, the bound, and either one fixed codec or per-shard
+// selection. ResolveEncodeSpec builds it from a mode name.
+type EncodeSpec struct {
+	Version  int             // container version, 2–5
+	EB       float64         // absolute bound, or value-range-relative when Relative
+	Relative bool            // resolve each shard's bound from its own range (v3+)
+	Codec    Codec           // the fixed codec; nil picks one per shard (v5 only)
+	Policy   SelectionPolicy // ranks the candidates when Codec is nil (nil = default)
 }
 
-// CompressShardCtx is CompressShard drawing scratch from a reusable
-// context. The returned frame is a fresh allocation.
-func CompressShardCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, dims []int, eb float64, opts Options, offset, planes int) ([]byte, error) {
-	ps := planeSize(dims)
-	shard := data[offset*ps : (offset+planes)*ps]
-	shardDims := append([]int{planes}, dims[1:]...)
-	payload, err := CompressCtx(ctx, dev, shard, shardDims, eb, opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: shard at plane %d: %w", offset, err)
-	}
-	return AppendChunkFrame(nil, opts, offset, shardDims, payload), nil
-}
+// autoMode is the mode name of per-shard codec selection.
+const autoMode = "auto"
 
-// CompressChunked encodes data into a v2 multi-chunk container, compressing
-// shards of chunkPlanes planes concurrently on dev's worker pool. Each
-// worker compresses through its own reusable codec context.
-func CompressChunked(dev *gpusim.Device, data []float32, dims []int, eb float64, opts Options, chunkPlanes int) ([]byte, error) {
-	total := 1
-	for _, d := range dims {
-		total *= d
-	}
-	if len(dims) == 0 || total != len(data) {
-		return nil, fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
-	}
-	out, err := AppendChunkedHeader(nil, dims, eb, chunkPlanes)
-	if err != nil {
-		return nil, err
-	}
-	n := numChunks(dims, chunkPlanes)
-	ctxs := workerCtxs(dev.Workers(), n)
-	defer releaseCtxs(ctxs)
-	frames, err := pipeline.MapWorker(dev.Workers(), n, func(w, i int) ([]byte, error) {
-		ctx := ctxs[w]
-		ctx.Reset()
-		offset := i * chunkPlanes
-		planes := chunkPlanes
-		if offset+planes > dims[0] {
-			planes = dims[0] - offset
+// ResolveEncodeSpec resolves a mode name — "auto" or a registered codec
+// name — and a selection policy spelling ("" = default; auto mode only)
+// into the spec of a version-ver container. ver 0 picks the newest layout
+// the mode needs: v4 for an assembly, v5 for a backend codec or auto mode,
+// whose frames carry codec IDs. The caller fills in the bound.
+func ResolveEncodeSpec(mode, policy string, ver int) (EncodeSpec, error) {
+	var s EncodeSpec
+	if mode == autoMode {
+		pol, err := PolicyByName(policy)
+		if err != nil {
+			return s, err
 		}
-		return CompressShardCtx(ctx, dev, data, dims, eb, opts, offset, planes)
-	})
-	if err != nil {
-		return nil, err
+		s.Policy = pol
+	} else {
+		if policy != "" {
+			return s, fmt.Errorf("core: selection policy %q needs auto mode; mode is %q", policy, mode)
+		}
+		cd, ok := CodecByName(mode)
+		if !ok {
+			return s, fmt.Errorf("core: unknown mode %q", mode)
+		}
+		s.Codec = cd
 	}
-	for _, f := range frames {
-		out = append(out, f...)
+	s.Version = ver
+	if ver == 0 {
+		s.Version = version4
+		if s.needsCodecIDs() {
+			s.Version = version5
+		}
 	}
-	return out, nil
+	return s, s.validate()
+}
+
+// needsCodecIDs reports whether the spec's chunks can only be framed with
+// codec IDs (format v5): per-shard selection, or a codec without Options.
+func (s *EncodeSpec) needsCodecIDs() bool {
+	_, assembly := s.Codec.(optioned)
+	return !assembly
+}
+
+func (s *EncodeSpec) validate() error {
+	if s.Version < version2 || s.Version > version5 {
+		return fmt.Errorf("core: version %d is not a chunked format", s.Version)
+	}
+	if s.Version < version5 && s.needsCodecIDs() {
+		mode := autoMode
+		if s.Codec != nil {
+			mode = s.Codec.Name()
+		}
+		return fmt.Errorf("core: mode %q writes per-chunk codec IDs to the v5 index footer; format v%d cannot carry them", mode, s.Version)
+	}
+	if s.Version >= version5 && s.Codec != nil {
+		if _, ok := CodecByID(s.Codec.ID()); !ok {
+			return fmt.Errorf("core: codec %q has no wire ID; format v5 needs a registered codec", s.Codec.Name())
+		}
+	}
+	if s.Relative && s.Version < version3 {
+		return fmt.Errorf("core: v2 containers cannot carry a relative bound")
+	}
+	return nil
 }
 
 // ShardPick reports one shard's auto-mode selection: which codec the
@@ -592,59 +532,90 @@ type ShardPick struct {
 	ActualRatio float64
 }
 
-// CompressShardAuto selects the best codec for one shard (estimator
-// scoring through ctx) and compresses it into a framed v5 chunk, returning
-// the frame and the winning codec's wire ID. minV/maxV are the shard's
-// value range for the frame header; eb is the shard's absolute bound.
-func CompressShardAuto(ctx *arena.Ctx, dev *gpusim.Device, shard []float32, shardDims []int, offset int, eb float64, minV, maxV float32) ([]byte, CodecID, error) {
-	frame, id, _, err := CompressShardAutoPolicy(ctx, dev, shard, shardDims, offset, eb, minV, maxV, DefaultSelectionPolicy)
-	return frame, id, err
-}
-
-// CompressShardAutoPolicy is CompressShardAuto under an explicit selection
-// policy, also reporting the pick for estimator-vs-actual observability.
-// It is the per-shard worker body shared by CompressChunkedAuto and the
-// streaming writer's auto mode.
-func CompressShardAutoPolicy(ctx *arena.Ctx, dev *gpusim.Device, shard []float32, shardDims []int, offset int, eb float64, minV, maxV float32, pol SelectionPolicy) ([]byte, CodecID, ShardPick, error) {
-	cd, est, err := SelectShardCodecPolicy(ctx, dev, shard, shardDims, eb, pol)
-	if err != nil {
-		return nil, codecInvalid, ShardPick{}, err
+// EncodeShard is the one per-shard worker body behind every chunked
+// writer (CompressChunked and stream.Writer). shard holds shardDims[0]
+// planes starting at plane offset. It resolves the shard's bound (relative
+// bounds from the shard's own range), picks the codec (spec's fixed one,
+// or per shard under spec.Policy), compresses through ctx, and frames the
+// payload for spec.Version. It returns the frame, its index entry (the
+// caller sets FrameOff, knowing where the frame lands) and, when the codec
+// was picked per shard, the pick — the zero ShardPick otherwise.
+func EncodeShard(ctx *arena.Ctx, dev *gpusim.Device, shard []float32, shardDims []int, offset int, spec EncodeSpec) ([]byte, IndexEntry, ShardPick, error) {
+	var minV, maxV float32
+	if spec.Version >= version3 {
+		minV, maxV, _ = ShardRange(shard) // all-NaN: zero range below
+	}
+	eb := spec.EB
+	if spec.Relative {
+		if rng := float64(maxV) - float64(minV); rng > 0 {
+			eb *= rng
+		} else {
+			// Constant shard: the field's true range is unknown here, so any
+			// range-derived fallback could exceed the global bound. Instead
+			// pick a bound below half a float32 ulp of the value — mag*1e-8
+			// for normal magnitudes, floored at 1e-46 (< half the smallest
+			// denormal spacing) — so the reconstruction is bit-exact and
+			// satisfies every possible global bound.
+			eb = max(math.Abs(float64(minV))*1e-8, 1e-46)
+		}
+	}
+	cd, pick := spec.Codec, ShardPick{}
+	if cd == nil {
+		var est CandidateEstimate
+		var err error
+		if cd, est, err = SelectShardCodecPolicy(ctx, dev, shard, shardDims, eb, spec.Policy); err != nil {
+			return nil, IndexEntry{}, pick, fmt.Errorf("core: shard at plane %d: %w", offset, err)
+		}
+		pick = ShardPick{Codec: cd.Name(), EstBytes: est.Bytes, EstRatio: est.Ratio}
 	}
 	payload, err := cd.Compress(ctx, dev, shard, shardDims, eb)
 	if err != nil {
-		return nil, codecInvalid, ShardPick{}, err
+		return nil, IndexEntry{}, ShardPick{}, fmt.Errorf("core: shard at plane %d: %w", offset, err)
 	}
-	pick := ShardPick{
-		Codec:       cd.Name(),
-		EstBytes:    est.Bytes,
-		ActualBytes: len(payload),
-		EstRatio:    est.Ratio,
-		ActualRatio: float64(4*len(shard)) / float64(len(payload)),
+	if pick.Codec != "" {
+		pick.ActualBytes = len(payload)
+		pick.ActualRatio = float64(4*len(shard)) / float64(len(payload))
 	}
-	return AppendChunkFrameV5(nil, cd, offset, shardDims, minV, maxV, payload), cd.ID(), pick, nil
+	entry := IndexEntry{PlaneOff: offset, Planes: shardDims[0]}
+	if spec.Version >= version5 {
+		entry.Codec = cd.ID()
+	}
+	frame := appendChunkFrame(nil, spec.Version, frameMode(cd), entry.Codec, offset, shardDims, minV, maxV, payload)
+	return frame, entry, pick, nil
 }
 
-// CompressChunkedAuto encodes data into a heterogeneous (format v5)
-// container: every shard is scored by the estimator cascade on a sample of
-// itself and compressed by the winner, concurrently on dev's worker pool
-// through reusable codec contexts. The chunk-index footer records each
-// shard's codec wire ID, so readers dispatch (and report per-chunk codec
-// histograms) without touching payloads.
-func CompressChunkedAuto(dev *gpusim.Device, data []float32, dims []int, eb float64, chunkPlanes int) ([]byte, error) {
-	return CompressChunkedAutoPolicy(dev, data, dims, eb, chunkPlanes, DefaultSelectionPolicy)
-}
-
-// CompressChunkedAutoPolicy is CompressChunkedAuto under an explicit
-// selection policy.
-func CompressChunkedAutoPolicy(dev *gpusim.Device, data []float32, dims []int, eb float64, chunkPlanes int, pol SelectionPolicy) ([]byte, error) {
+// checkDims validates a field's dims against its value count.
+func checkDims(data []float32, dims []int) error {
+	if len(dims) == 0 || len(dims) > 8 {
+		return fmt.Errorf("core: invalid dims %v", dims)
+	}
 	total := 1
 	for _, d := range dims {
+		if d <= 0 || d > len(data) {
+			return fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
+		}
 		total *= d
 	}
-	if len(dims) == 0 || total != len(data) {
-		return nil, fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
+	if total != len(data) {
+		return fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
 	}
-	out, err := AppendChunkedHeaderV5(nil, dims, eb, false, chunkPlanes)
+	return nil
+}
+
+// CompressChunked encodes data into a chunked container of spec.Version:
+// shards of chunkPlanes planes (the last may be short) run through
+// EncodeShard concurrently on dev's worker pool, each worker reusing its
+// own codec context, and the frames are assembled in order behind the
+// global header and — v4/v5 — ahead of the chunk-index footer. The bytes
+// are exactly what stream.Writer writes for the same spec.
+func CompressChunked(dev *gpusim.Device, data []float32, dims []int, chunkPlanes int, spec EncodeSpec) ([]byte, error) {
+	if err := checkDims(data, dims); err != nil {
+		return nil, err
+	}
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	out, err := AppendChunkedHeaderSized(nil, spec.Version, dims, spec.EB, spec.Relative, chunkPlanes, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -652,37 +623,32 @@ func CompressChunkedAutoPolicy(dev *gpusim.Device, data []float32, dims []int, e
 	ps := planeSize(dims)
 	ctxs := workerCtxs(dev.Workers(), n)
 	defer releaseCtxs(ctxs)
-	type aframe struct {
-		data   []byte
-		offset int
-		planes int
-		codec  CodecID
+	type encoded struct {
+		frame []byte
+		entry IndexEntry
 	}
-	frames, err := pipeline.MapWorker(dev.Workers(), n, func(w, i int) (aframe, error) {
+	shards, err := pipeline.MapWorker(dev.Workers(), n, func(w, i int) (encoded, error) {
 		ctx := ctxs[w]
+		ctx.Reset()
 		offset := i * chunkPlanes
-		planes := chunkPlanes
-		if offset+planes > dims[0] {
-			planes = dims[0] - offset
-		}
-		shard := data[offset*ps : (offset+planes)*ps]
+		planes := min(chunkPlanes, dims[0]-offset)
 		shardDims := append([]int{planes}, dims[1:]...)
-		minV, maxV, _ := ShardRange(shard)
-		frame, id, _, err := CompressShardAutoPolicy(ctx, dev, shard, shardDims, offset, eb, minV, maxV, pol)
-		if err != nil {
-			return aframe{}, fmt.Errorf("core: shard at plane %d: %w", offset, err)
-		}
-		return aframe{data: frame, offset: offset, planes: planes, codec: id}, nil
+		frame, entry, _, err := EncodeShard(ctx, dev, data[offset*ps:(offset+planes)*ps], shardDims, offset, spec)
+		return encoded{frame, entry}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]IndexEntry, len(frames))
-	for i, f := range frames {
-		entries[i] = IndexEntry{FrameOff: int64(len(out)), PlaneOff: f.offset, Planes: f.planes, Codec: f.codec}
-		out = append(out, f.data...)
+	entries := make([]IndexEntry, n)
+	for i, s := range shards {
+		entries[i] = s.entry
+		entries[i].FrameOff = int64(len(out))
+		out = append(out, s.frame...)
 	}
-	return AppendChunkIndexFooterV5(out, int64(len(out)), entries), nil
+	if spec.Version < version4 {
+		return out, nil
+	}
+	return AppendChunkIndexFooter(out, spec.Version, int64(len(out)), entries), nil
 }
 
 // workerCtxs draws one codec context per worker slot from the arena pool.

@@ -14,7 +14,7 @@ import (
 
 func chunkedRoundTrip(t *testing.T, data []float32, dims []int, eb float64, opts Options, cp int) []byte {
 	t.Helper()
-	blob, err := CompressChunked(dev, data, dims, eb, opts, cp)
+	blob, err := CompressChunked(dev, data, dims, cp, v2Spec(opts, eb))
 	if err != nil {
 		t.Fatalf("%s cp=%d: CompressChunked: %v", opts.Name, cp, err)
 	}
@@ -32,6 +32,17 @@ func chunkedRoundTrip(t *testing.T, data []float32, dims []int, eb float64, opts
 			opts.Name, cp, i, data[i], recon[i], eb)
 	}
 	return blob
+}
+
+// optionsCodec adapts a custom Options assembly to the Codec interface
+// without registering it. It has no wire ID, so it frames v2–v4 chunks only.
+func optionsCodec(opts Options) Codec {
+	return &assemblyCodec{name: opts.Name, newOpts: func() Options { return opts }}
+}
+
+// v2Spec encodes plain v2 chunks of opts under the absolute bound eb.
+func v2Spec(opts Options, eb float64) EncodeSpec {
+	return EncodeSpec{Version: 2, EB: eb, Codec: optionsCodec(opts)}
 }
 
 func rampField(n int) []float32 {
@@ -87,7 +98,7 @@ func TestChunkedMatchesOneShotGuarantees(t *testing.T) {
 func TestChunkedInspect(t *testing.T) {
 	dims := []int{20, 8, 8}
 	data := rampField(20 * 8 * 8)
-	blob, err := CompressChunked(dev, data, dims, 0.05, HiTP(), 8)
+	blob, err := CompressChunked(dev, data, dims, 8, v2Spec(HiTP(), 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +126,7 @@ func TestChunkedInspect(t *testing.T) {
 func TestChunkedRejectsCorruption(t *testing.T) {
 	dims := []int{12, 8, 8}
 	data := rampField(12 * 8 * 8)
-	blob, err := CompressChunked(dev, data, dims, 0.05, HiTP(), 4)
+	blob, err := CompressChunked(dev, data, dims, 4, v2Spec(HiTP(), 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,15 +154,15 @@ func TestChunkedRejectsNestedV2(t *testing.T) {
 	// the format allows only v1 shard payloads, which bounds recursion.
 	dims := []int{4, 4, 4}
 	data := rampField(64)
-	inner, err := CompressChunked(dev, data, dims, 0.05, HiTP(), 4)
+	inner, err := CompressChunked(dev, data, dims, 4, v2Spec(HiTP(), 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, err := AppendChunkedHeader(nil, dims, 0.05, 4)
+	header, err := AppendChunkedHeaderSized(nil, 2, dims, 0.05, false, 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := AppendChunkFrame(header, HiTP(), 0, dims, inner)
+	blob := appendChunkFrame(header, 2, CodecMode(HiTP()), 0, 0, dims, 0, 0, inner)
 	if _, _, err := Decompress(dev, blob); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("nested v2 container: err = %v", err)
 	}
@@ -160,7 +171,7 @@ func TestChunkedRejectsNestedV2(t *testing.T) {
 func TestChunkFrameValidation(t *testing.T) {
 	h := &ChunkedInfo{Dims: []int{10, 4, 4}, EB: 0.1, ChunkPlanes: 4, NumChunks: 3}
 	frame := func(offset int, shardDims []int, payload []byte) []byte {
-		return AppendChunkFrame(nil, HiTP(), offset, shardDims, payload)
+		return appendChunkFrame(nil, 2, CodecMode(HiTP()), 0, offset, shardDims, 0, 0, payload)
 	}
 	cases := map[string][]byte{
 		"offset beyond field": frame(10, []int{4, 4, 4}, []byte("x")),
@@ -223,7 +234,7 @@ func TestChunkCodecModeValidated(t *testing.T) {
 	dims := []int{4, 2, 2}
 	opts := HiTP()
 	opts.AutoTune = false
-	blob, err := CompressChunked(dev, rampField(16), dims, 0.25, opts, 2)
+	blob, err := CompressChunked(dev, rampField(16), dims, 2, v2Spec(opts, 0.25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +258,7 @@ func TestChunkedHeaderGolden(t *testing.T) {
 	data := rampField(16)
 	opts := HiTP()
 	opts.AutoTune = false // deterministic per-level configs
-	blob, err := CompressChunked(dev, data, dims, 0.25, opts, 2)
+	blob, err := CompressChunked(dev, data, dims, 2, v2Spec(opts, 0.25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +308,7 @@ func TestChunkedHeaderGolden(t *testing.T) {
 // between the codec-mode byte and the payload length.
 func TestV3HeaderGolden(t *testing.T) {
 	opts := CuszL()
-	header, err := AppendChunkedHeaderV3(nil, []int{4, 2, 2}, 0.25, true, 2)
+	header, err := AppendChunkedHeaderSized(nil, 3, []int{4, 2, 2}, 0.25, true, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +380,7 @@ func TestV3RejectsBadRange(t *testing.T) {
 func makeV4(t testing.TB, data []float32, dims []int, eb float64, cp int) ([]byte, []IndexEntry) {
 	t.Helper()
 	opts := CuszL()
-	blob, err := AppendChunkedHeaderV4(nil, dims, eb, false, cp)
+	blob, err := AppendChunkedHeaderSized(nil, 4, dims, eb, false, cp, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +401,7 @@ func makeV4(t testing.TB, data []float32, dims []int, eb float64, cp int) ([]byt
 		entries = append(entries, IndexEntry{FrameOff: int64(len(blob)), PlaneOff: off, Planes: planes})
 		blob = AppendChunkFrameV3(blob, opts, off, shardDims, minV, maxV, payload)
 	}
-	return AppendChunkIndexFooter(blob, int64(len(blob)), entries), entries
+	return AppendChunkIndexFooter(blob, 4, int64(len(blob)), entries), entries
 }
 
 // TestV4HeaderGolden locks the v4 container layout byte-for-byte: v3
@@ -457,7 +468,7 @@ func TestV4Inspect(t *testing.T) {
 		t.Fatalf("info = %+v", info)
 	}
 	// v2 containers report no index.
-	v2, err := CompressChunked(dev, rampField(96), dims, 0.1, HiTP(), 2)
+	v2, err := CompressChunked(dev, rampField(96), dims, 2, v2Spec(HiTP(), 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +515,7 @@ func TestV4HostileFooters(t *testing.T) {
 		// Rebuild the footer (valid CRC) with a lying frame offset.
 		lie := append([]IndexEntry(nil), entries...)
 		lie[1].FrameOff++
-		bad := AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), int64(framesEnd), lie)
+		bad := AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 4, int64(framesEnd), lie)
 		if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
@@ -512,7 +523,7 @@ func TestV4HostileFooters(t *testing.T) {
 	t.Run("index plane tiling broken", func(t *testing.T) {
 		lie := append([]IndexEntry(nil), entries...)
 		lie[2].PlaneOff++ // gap in coverage
-		bad := AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), int64(framesEnd), lie)
+		bad := AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 4, int64(framesEnd), lie)
 		if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
@@ -528,7 +539,7 @@ func TestV4HostileFooters(t *testing.T) {
 // through the named codecs, returning the blob and its index entries.
 func makeV5(t testing.TB, data []float32, dims []int, eb float64, cp int, codecs []string) ([]byte, []IndexEntry) {
 	t.Helper()
-	blob, err := AppendChunkedHeaderV5(nil, dims, eb, false, cp)
+	blob, err := AppendChunkedHeaderSized(nil, 5, dims, eb, false, cp, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +564,7 @@ func makeV5(t testing.TB, data []float32, dims []int, eb float64, cp int, codecs
 		entries = append(entries, IndexEntry{FrameOff: int64(len(blob)), PlaneOff: off, Planes: planes, Codec: cd.ID()})
 		blob = AppendChunkFrameV5(blob, cd, off, shardDims, minV, maxV, payload)
 	}
-	return AppendChunkIndexFooterV5(blob, int64(len(blob)), entries), entries
+	return AppendChunkIndexFooter(blob, 5, int64(len(blob)), entries), entries
 }
 
 // TestV5HeaderGolden locks the v5 container layout byte-for-byte: v4
@@ -662,8 +673,8 @@ func TestV5MixedCodecRoundTrip(t *testing.T) {
 		info.ChunkCodecs["hi-cr"] != 2 || info.ChunkCodecs["cusz-l"] != 2 {
 		t.Fatalf("info = %+v", info)
 	}
-	// CompressChunkedAuto produces the same format end to end.
-	auto, err := CompressChunkedAuto(dev, data, dims, 0.05, 6)
+	// Auto-mode CompressChunked produces the same format end to end.
+	auto, err := CompressChunked(dev, data, dims, 6, EncodeSpec{Version: 5, EB: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -717,7 +728,7 @@ func TestV5HostileCodecIDs(t *testing.T) {
 	t.Run("footer codec disagrees with frame", func(t *testing.T) {
 		lie := append([]IndexEntry(nil), entries...)
 		lie[0].Codec = CodecHiTP // registered and self-consistent, but wrong
-		bad := AppendChunkIndexFooterV5(append([]byte(nil), blob[:framesEnd]...), int64(framesEnd), lie)
+		bad := AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 5, int64(framesEnd), lie)
 		if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
@@ -725,14 +736,14 @@ func TestV5HostileCodecIDs(t *testing.T) {
 	t.Run("unknown codec id in footer", func(t *testing.T) {
 		lie := append([]IndexEntry(nil), entries...)
 		lie[1].Codec = 0x7f
-		bad := AppendChunkIndexFooterV5(append([]byte(nil), blob[:framesEnd]...), int64(framesEnd), lie)
+		bad := AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 5, int64(framesEnd), lie)
 		if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("v4 footer on a v5 body", func(t *testing.T) {
 		// Entries without codec IDs cannot satisfy a v5 parse.
-		bad := AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), int64(framesEnd), entries)
+		bad := AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 4, int64(framesEnd), entries)
 		if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
@@ -743,7 +754,7 @@ func TestV5HostileCodecIDs(t *testing.T) {
 // nonzero value must be refused rather than silently reinterpreted.
 func TestV2RejectsNonzeroFlags(t *testing.T) {
 	dims := []int{4, 2, 2}
-	blob, err := CompressChunked(dev, rampField(16), dims, 0.25, CuszL(), 2)
+	blob, err := CompressChunked(dev, rampField(16), dims, 2, v2Spec(CuszL(), 0.25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,5 +762,53 @@ func TestV2RejectsNonzeroFlags(t *testing.T) {
 	bad[5] = 1
 	if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("v2 with flags=1: err = %v", err)
+	}
+}
+
+// TestEncodeSpecValidation: a custom assembly without a wire ID frames
+// v2–v4 chunks only; codec-ID modes need v5; the resolver picks each mode's
+// native version and refuses misspelled or misplaced policies.
+func TestEncodeSpecValidation(t *testing.T) {
+	dims := []int{4, 4, 4}
+	data := rampField(64)
+	custom := optionsCodec(SZ3Like())
+	for ver := 2; ver <= 4; ver++ {
+		blob, err := CompressChunked(dev, data, dims, 2, EncodeSpec{Version: ver, EB: 0.1, Codec: custom})
+		if err != nil {
+			t.Fatalf("v%d custom assembly: %v", ver, err)
+		}
+		if _, _, err := Decompress(dev, blob); err != nil || blob[4] != byte(ver) {
+			t.Fatalf("v%d custom assembly: version %d, decode %v", ver, blob[4], err)
+		}
+	}
+	if _, err := CompressChunked(dev, data, dims, 2, EncodeSpec{Version: 5, EB: 0.1, Codec: custom}); err == nil {
+		t.Fatal("v5 accepted a codec without a wire ID")
+	}
+	hiCR, _ := CodecByName("hi-cr")
+	if _, err := CompressChunked(dev, data, dims, 2, EncodeSpec{Version: 2, EB: 0.1, Relative: true, Codec: hiCR}); err == nil {
+		t.Fatal("v2 accepted a relative bound")
+	}
+
+	for _, tc := range []struct {
+		mode, policy string
+		ver, want    int // want 0: must fail
+	}{
+		{"hi-cr", "", 0, 4},
+		{"cusz-l", "", 5, 5},
+		{"szx", "", 0, 5},
+		{"auto", "throughput", 0, 5},
+		{"szx", "", 4, 0},
+		{"auto", "", 3, 0},
+		{"hi-cr", "throughput", 0, 0},
+		{"auto", "bogus", 0, 0},
+		{"no-such-mode", "", 0, 0},
+	} {
+		spec, err := ResolveEncodeSpec(tc.mode, tc.policy, tc.ver)
+		switch {
+		case tc.want == 0 && err == nil:
+			t.Errorf("%s/%q at v%d: accepted", tc.mode, tc.policy, tc.ver)
+		case tc.want != 0 && (err != nil || spec.Version != tc.want):
+			t.Errorf("%s/%q at v%d: version %d, err %v; want v%d", tc.mode, tc.policy, tc.ver, spec.Version, err, tc.want)
+		}
 	}
 }

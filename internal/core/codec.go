@@ -153,18 +153,17 @@ func codecFrameMode(id CodecID) (byte, bool) {
 	return e.mode, true
 }
 
-// OptionsForFrameMode maps a chunk frame's packed codec-mode byte back to
-// the canonical Options of the registered assembly that writes it, or
-// ok=false when no registered assembly uses that byte. Appendable-store
-// recovery uses it to re-derive a crashed v4 writer's codec set from the
-// frames already on disk.
-func OptionsForFrameMode(mode byte) (Options, bool) {
+// codecForFrameMode maps a chunk frame's packed codec-mode byte back to
+// the registered assembly that writes it, or ok=false when no registered
+// assembly uses that byte. Appendable-store recovery uses it to re-derive
+// a crashed v2–v4 writer's codec from the frames already on disk.
+func codecForFrameMode(mode byte) (Codec, bool) {
 	for _, e := range codecsByID {
 		if e.hasMode && e.mode == mode {
-			return e.codec.(optioned).Options(), true
+			return e.codec, true
 		}
 	}
-	return Options{}, false
+	return nil, false
 }
 
 // ResolveCodec maps a compressor assembly back to its registered codec (by

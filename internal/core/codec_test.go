@@ -186,7 +186,7 @@ func TestSelectShardCodecPicksPlausibly(t *testing.T) {
 		smooth[i] = float32(i) * 0.001
 	}
 	ctx := arena.NewCtx()
-	cd, err := SelectShardCodec(ctx, dev, smooth, dims, 0.01)
+	cd, _, err := SelectShardCodecPolicy(ctx, dev, smooth, dims, 0.01, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSelectShardCodecPicksPlausibly(t *testing.T) {
 	if err != nil || len(recon) != len(smooth) {
 		t.Fatalf("selected codec %s failed its own shard: %v", cd.Name(), err)
 	}
-	if _, err := SelectShardCodec(ctx, dev, nil, nil, 0.01); err == nil {
+	if _, _, err := SelectShardCodecPolicy(ctx, dev, nil, nil, 0.01, nil); err == nil {
 		t.Fatal("empty shard accepted")
 	}
 }

@@ -70,7 +70,7 @@ func estimatorCases(t testing.TB) []estimatorCase {
 func TestEstimatorPickNearTrialPick(t *testing.T) {
 	ctx := arena.NewCtx()
 	for _, c := range estimatorCases(t) {
-		sel, err := AutoSelect(dev, c.data, c.dims, c.eb)
+		sel, err := AutoSelect(nil, dev, c.data, c.dims, c.eb, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -113,7 +113,7 @@ func TestEstimatorPerformsNoTrialCompressions(t *testing.T) {
 	eb := metrics.AbsEB(f.Data, 1e-2)
 	ctx := arena.NewCtx()
 	before := trialCompressions.Load()
-	if _, err := AutoSelect(dev, f.Data, f.Dims, eb); err != nil {
+	if _, err := AutoSelect(nil, dev, f.Data, f.Dims, eb, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, pol := range []SelectionPolicy{BestRatioPolicy(), ThroughputPolicy(), RatioFloorPolicy(10)} {
@@ -304,13 +304,13 @@ func BenchmarkSelectShardCodec(b *testing.B) {
 	}
 	dev1 := gpusim.New(1)
 	ctx := arena.NewCtx()
-	if _, err := SelectShardCodec(ctx, dev1, data, dims, 0.05); err != nil {
+	if _, _, err := SelectShardCodecPolicy(ctx, dev1, data, dims, 0.05, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(4 * len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SelectShardCodec(ctx, dev1, data, dims, 0.05); err != nil {
+		if _, _, err := SelectShardCodecPolicy(ctx, dev1, data, dims, 0.05, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

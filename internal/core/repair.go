@@ -185,33 +185,26 @@ func footerState(src io.ReaderAt, rec *RecoveryInfo) FooterState {
 	return FooterValid
 }
 
-// RecoveredCodec reports the codec set the scanned frames prove, for
+// RecoveredCodec reports the codec the scanned frames prove, for
 // re-deriving a crashed writer's state. For a v5 container it returns the
 // single registered codec every frame shares, or uniform=false when the
 // frames mix codecs (the store continues in per-shard adaptive mode). For
 // v2–v4 it maps the last frame's codec-mode byte back to the registered
-// assembly's Options. Zero scanned frames report ok=false: the caller
-// picks a default.
-func (r *RecoveryInfo) RecoveredCodec() (cd Codec, opts Options, uniform, ok bool) {
+// assembly. Zero scanned frames report ok=false: the caller picks a
+// default.
+func (r *RecoveryInfo) RecoveredCodec() (cd Codec, uniform, ok bool) {
 	if len(r.Entries) == 0 {
-		return nil, Options{}, false, false
+		return nil, false, false
 	}
-	if r.Header.Version >= version5 {
-		id := r.Entries[0].Codec
-		for _, e := range r.Entries[1:] {
-			if e.Codec != id {
-				return nil, Options{}, false, true
-			}
+	if r.Header.Version < version5 {
+		cd, ok = codecForFrameMode(r.Modes[len(r.Modes)-1])
+		return cd, ok, ok
+	}
+	for _, e := range r.Entries[1:] {
+		if e.Codec != r.Entries[0].Codec {
+			return nil, false, true
 		}
-		cd, reg := CodecByID(id)
-		if !reg {
-			return nil, Options{}, false, false
-		}
-		return cd, Options{}, true, true
 	}
-	opts, found := OptionsForFrameMode(r.Modes[len(r.Modes)-1])
-	if !found {
-		return nil, Options{}, false, false
-	}
-	return nil, opts, true, true
+	cd, ok = CodecByID(r.Entries[0].Codec)
+	return cd, ok, ok
 }

@@ -56,7 +56,7 @@ func TestScanRecoverySealed(t *testing.T) {
 func TestScanRecoveryV2V3Sealed(t *testing.T) {
 	dims := []int{4, 3, 3}
 	data := rampField(4 * 9)
-	v2, err := CompressChunked(dev, data, dims, 0.03, CuszL(), 2)
+	v2, err := CompressChunked(dev, data, dims, 2, v2Spec(CuszL(), 0.03))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestScanRecoveryFooterStates(t *testing.T) {
 	})
 	t.Run("misdirected-backpointer", func(t *testing.T) {
 		mut := append([]byte(nil), blob...)
-		tail := AppendChunkIndexFooter(nil, fo-1, nil)[len(AppendChunkIndexFooter(nil, fo-1, nil))-IndexTailLen:]
+		tail := AppendChunkIndexFooter(nil, 4, fo-1, nil)[len(AppendChunkIndexFooter(nil, 4, fo-1, nil))-IndexTailLen:]
 		copy(mut[len(mut)-IndexTailLen:], tail)
 		rec := scan(t, mut)
 		if rec.Footer != FooterTorn {
@@ -159,42 +159,39 @@ func TestRecoveredCodec(t *testing.T) {
 
 	uni, _ := makeV5(t, data, dims, 0.05, 2, []string{"szp"})
 	rec := scan(t, uni)
-	cd, _, uniform, ok := rec.RecoveredCodec()
+	cd, uniform, ok := rec.RecoveredCodec()
 	if !ok || !uniform || cd == nil || cd.Name() != "szp" {
 		t.Fatalf("uniform v5: cd=%v uniform=%v ok=%v", cd, uniform, ok)
 	}
 
 	mixed, _ := makeV5(t, data, dims, 0.05, 2, []string{"cusz-l", "szx"})
 	rec = scan(t, mixed)
-	if _, _, uniform, ok := rec.RecoveredCodec(); !ok || uniform {
+	if _, uniform, ok := rec.RecoveredCodec(); !ok || uniform {
 		t.Fatalf("mixed v5 must report uniform=false ok=true, got %v %v", uniform, ok)
 	}
 
 	v4, _ := makeV4(t, data, dims, 0.05, 2)
 	rec = scan(t, v4)
-	cd, opts, uniform, ok := rec.RecoveredCodec()
-	if !ok || !uniform || cd != nil {
-		t.Fatalf("v4: cd=%v uniform=%v ok=%v", cd, uniform, ok)
-	}
-	if want := CuszL(); CodecMode(opts) != CodecMode(want) {
-		t.Fatalf("v4 recovered mode %#x, want %#x (cusz-l)", CodecMode(opts), CodecMode(want))
+	cd, uniform, ok = rec.RecoveredCodec()
+	if !ok || !uniform || cd == nil || cd.Name() != "cusz-l" {
+		t.Fatalf("v4: cd=%v uniform=%v ok=%v, want cusz-l", cd, uniform, ok)
 	}
 
 	// A store with zero valid frames recovers no codec.
-	hdr, err := AppendChunkedHeaderV5(nil, dims, 0.05, false, 2)
+	hdr, err := AppendChunkedHeaderSized(nil, 5, dims, 0.05, false, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec = scan(t, hdr)
-	if _, _, _, ok := rec.RecoveredCodec(); ok {
+	if _, _, ok := rec.RecoveredCodec(); ok {
 		t.Fatal("empty prefix must report ok=false")
 	}
 }
 
-// TestOptionsForFrameMode proves every registered assembly's packed mode
-// byte maps back to its own Options — the round trip a crashed v4 writer's
+// TestCodecForFrameMode proves every registered assembly's packed mode
+// byte maps back to its own codec — the round trip a crashed v4 writer's
 // recovery depends on.
-func TestOptionsForFrameMode(t *testing.T) {
+func TestCodecForFrameMode(t *testing.T) {
 	hits := 0
 	for _, cd := range Codecs() {
 		oc, ok := cd.(interface{ Options() Options })
@@ -203,18 +200,18 @@ func TestOptionsForFrameMode(t *testing.T) {
 		}
 		hits++
 		mode := CodecMode(oc.Options())
-		got, found := OptionsForFrameMode(mode)
+		got, found := codecForFrameMode(mode)
 		if !found {
 			t.Fatalf("%s: mode %#x not found", cd.Name(), mode)
 		}
-		if CodecMode(got) != mode || got.Name != oc.Options().Name {
-			t.Fatalf("%s: mode %#x recovered as %q (mode %#x)", cd.Name(), mode, got.Name, CodecMode(got))
+		if got != cd {
+			t.Fatalf("%s: mode %#x recovered as %s", cd.Name(), mode, got.Name())
 		}
 	}
 	if hits < 5 {
 		t.Fatalf("only %d assembly codecs seen, want the five cuSZ assemblies", hits)
 	}
-	if _, found := OptionsForFrameMode(0xFF); found {
+	if _, found := codecForFrameMode(0xFF); found {
 		t.Fatal("unused mode byte must not resolve")
 	}
 }
@@ -281,7 +278,7 @@ func TestAppendChunkedHeaderSized(t *testing.T) {
 // TestParseChunkIndexTailHostile: anything but a well-formed 12-byte tail
 // is ErrCorrupt — short slices, bad magic, absurd backpointers.
 func TestParseChunkIndexTailHostile(t *testing.T) {
-	good := AppendChunkIndexFooter(nil, 16, nil)
+	good := AppendChunkIndexFooter(nil, 4, 16, nil)
 	tail := good[len(good)-IndexTailLen:]
 	if off, err := ParseChunkIndexTail(tail); err != nil || off != 16 {
 		t.Fatalf("valid tail: off=%d err=%v", off, err)

@@ -8,12 +8,16 @@ import (
 	"repro/internal/quant"
 )
 
+// raceEnabled is set by race_test.go when building with -race.
+var raceEnabled bool
+
 // TestAllocsWarmCtx guards the arena batch slots of the interpolation
 // compressor: a warm context must run the predictor — including the
 // per-block outlier collectors (persistent arena.Slots) and the fused
 // stride-row kernels — with a near-constant handful of allocations
 // (Result header, outlier merge, pooled block buffers), independent of
-// field size.
+// field size. Under -race the loops still run but the ceilings are not
+// enforced, since the race detector makes sync.Pool drop items.
 func TestAllocsWarmCtx(t *testing.T) {
 	dims := []int{48, 40, 40}
 	data := synthField(dims, 21)
@@ -35,7 +39,7 @@ func TestAllocsWarmCtx(t *testing.T) {
 		}
 	})
 	t.Logf("warm compress: %v allocs/op", comp)
-	if comp > 8 {
+	if comp > 8 && !raceEnabled {
 		t.Fatalf("steady-state compress allocates %v/op, want <= 8", comp)
 	}
 	// The Result is context scratch; copy it out so the decompress loop can
@@ -61,7 +65,7 @@ func TestAllocsWarmCtx(t *testing.T) {
 		}
 	})
 	t.Logf("warm decompress: %v allocs/op", decomp)
-	if decomp > 2 {
+	if decomp > 2 && !raceEnabled {
 		t.Fatalf("steady-state decompress allocates %v/op, want <= 2", decomp)
 	}
 }

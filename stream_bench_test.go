@@ -25,6 +25,11 @@ func BenchmarkStreamChunked(b *testing.B) {
 	}
 	absEB := metrics.AbsEB(f.Data, 1e-2)
 	opts := core.HiTP()
+	spec, err := core.ResolveEncodeSpec("hi-tp", "", 2) // plain v2 shards
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.EB = absEB
 
 	b.Run("compress/serial", func(b *testing.B) {
 		dev := gpusim.New(1)
@@ -40,7 +45,7 @@ func BenchmarkStreamChunked(b *testing.B) {
 			dev := gpusim.New(workers)
 			b.SetBytes(int64(f.SizeBytes()))
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CompressChunked(dev, f.Data, f.Dims, absEB, opts, 32); err != nil {
+				if _, err := core.CompressChunked(dev, f.Data, f.Dims, 32, spec); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -51,7 +56,7 @@ func BenchmarkStreamChunked(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	chunkedBlob, err := core.CompressChunked(gpusim.New(0), f.Data, f.Dims, absEB, opts, 32)
+	chunkedBlob, err := core.CompressChunked(gpusim.New(0), f.Data, f.Dims, 32, spec)
 	if err != nil {
 		b.Fatal(err)
 	}
