@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/cuszhi"
@@ -249,5 +250,57 @@ func TestRelativeEBNaNValues(t *testing.T) {
 	}
 	if len(recon) != len(data) {
 		t.Fatalf("got %d values", len(recon))
+	}
+}
+
+// TestAllocsReadPlanesWindow bounds a warm 8-plane window read of a
+// 32-plane hi-cr shard. The frame buffer and every decode buffer come
+// from the pooled codec context, so what remains per window is a few
+// hundred bytes of index, frame-header and worker plumbing: no
+// allocation grows with the frame or the shard. The byte bound takes the
+// cheapest of several reads, since sync.Pool may hand one read a fresh
+// context.
+func TestAllocsReadPlanesWindow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool bypasses pooling under -race; ceiling is calibrated for normal builds")
+	}
+	dims := []int{64, 48, 48}
+	data := spikyField(dims, 26)
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, dims, 1e-3, WithMode(cuszhi.ModeCR), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteValues(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ra, err := OpenReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dst []float32
+	read := func() {
+		if dst, err = ra.ReadPlanes(dst, 40, 48); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // warm the context pool
+	read()
+	if n := testing.AllocsPerRun(10, read); n > 14 {
+		t.Fatalf("warm 8-plane window allocates %v/op, want <= 14", n)
+	}
+	minBytes := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		minBytes = min(minBytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	if minBytes > 4096 {
+		t.Fatalf("warm 8-plane window allocates %d bytes, want <= 4096", minBytes)
 	}
 }

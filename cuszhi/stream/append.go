@@ -31,6 +31,7 @@ import (
 	"os"
 
 	"repro/cuszhi"
+	"repro/internal/bitio"
 	"repro/internal/core"
 	"repro/internal/pipeline"
 )
@@ -284,7 +285,7 @@ func widenHeader(f File, st *sealSpec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	padTo := len(minimal) - uvLen(uint64(st.dims[0])) - uvLen(uint64(len(st.entries))) + 10
+	padTo := len(minimal) - bitio.UvarintLen(uint64(st.dims[0])) - bitio.UvarintLen(uint64(len(st.entries))) + 10
 	if padTo <= int(st.headerLen) {
 		// The minimal header fits after all: AppendChunkedHeaderSized must
 		// have rejected the spec itself, not the padding.
@@ -321,14 +322,4 @@ func shiftFrames(f File, start, end, delta int64) error {
 		}
 	}
 	return nil
-}
-
-// uvLen returns the minimal LEB128 encoding length of v.
-func uvLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }

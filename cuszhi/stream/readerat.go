@@ -1,6 +1,12 @@
 // Random access into compressed containers: OpenReaderAt builds (or
 // loads) a chunk index over an io.ReaderAt and ReadPlanes decodes an
 // arbitrary plane range while reading only the shards that cover it.
+// Within a covering shard, an interpolation payload (hi-cr, hi-tp,
+// cusz-i, cusz-ib) reconstructs only the blocks that own the requested
+// planes — each block is predicted from its own anchors, so the rest are
+// never needed. The error verdict stays whole-shard: a shard that fails a
+// whole decode fails every window over it. Lorenzo and backend payloads
+// decode whole and are sliced.
 //
 // Seekable (v4/v5) containers carry the index as a footer, so opening one
 // touches the header, the fixed 12-byte tail and the index body — no
@@ -15,7 +21,6 @@
 package stream
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -276,9 +281,12 @@ func (r *ReaderAt) CoveringChunks(lo, hi int) int {
 // ReadPlanes decodes planes [lo, hi) of the field into dst (grown if its
 // capacity is short) and returns it. Only the ⌈(hi−lo+skew)/chunkPlanes⌉
 // shards covering the range are read and decoded, concurrently, each
-// through a pooled codec context; the result is trimmed to exactly the
-// requested planes. Calls may run concurrently as long as their dst
-// buffers are distinct.
+// through a pooled codec context that also holds the frame bytes; of each
+// shard, only the interpolation blocks owning requested planes are
+// reconstructed. A window fails with ErrCorrupt exactly when a whole
+// decode of a covering shard would, even for damage in blocks the window
+// skips. Calls may run concurrently as long as their dst buffers are
+// distinct.
 func (r *ReaderAt) ReadPlanes(dst []float32, lo, hi int) ([]float32, error) {
 	if lo < 0 || hi > r.dims[0] || lo >= hi {
 		return nil, fmt.Errorf("stream: plane range %d:%d outside field with %d planes", lo, hi, r.dims[0])
@@ -355,7 +363,9 @@ func (r *ReaderAt) decodeChunkInto(dst []float32, i, lo, hi int) error {
 
 func (r *ReaderAt) decodeChunk(dst []float32, i, lo, hi int) error {
 	e := r.index[i]
-	buf := make([]byte, r.frameEnd[i]-e.FrameOff)
+	ctx := arena.Get()
+	defer arena.Put(ctx)
+	buf := ctx.Bytes(int(r.frameEnd[i] - e.FrameOff))
 	if err := core.ReadFullAt(r.src, buf, e.FrameOff); err != nil {
 		if core.IsTransient(err) {
 			// The storage failed, not the format: surface the I/O error (the
@@ -365,8 +375,8 @@ func (r *ReaderAt) decodeChunk(dst []float32, i, lo, hi int) error {
 		}
 		return core.ErrCorrupt // truncation: the frame cannot be complete
 	}
-	br := bytes.NewReader(buf)
-	c, payload, err := core.ReadChunkFrame(br, r.h)
+	// The payload stays a subslice of buf: no per-window copy.
+	c, payload, frameLen, err := core.ScanChunkFrame(buf, 0, r.h)
 	if err != nil {
 		return err
 	}
@@ -374,17 +384,15 @@ func (r *ReaderAt) decodeChunk(dst []float32, i, lo, hi int) error {
 		return fmt.Errorf("chunk index codec %s disagrees with frame codec %s at plane %d: %w",
 			core.CodecLabel(e.Codec), core.CodecLabel(c.CodecID), e.PlaneOff, core.ErrCorrupt)
 	}
-	if br.Len() != 0 || c.Offset != e.PlaneOff || c.Dims[0] != e.Planes {
+	if frameLen != len(buf) || c.Offset != e.PlaneOff || c.Dims[0] != e.Planes {
 		return fmt.Errorf("chunk index disagrees with frame at plane %d: %w", e.PlaneOff, core.ErrCorrupt)
 	}
-	ctx := arena.Get()
-	defer arena.Put(ctx)
-	recon, err := core.DecompressShardCtx(ctx, r.dev, c, payload)
+	s0, s1 := clampSpan(e.PlaneOff, e.PlaneOff+e.Planes, lo, hi)
+	recon, err := core.DecompressShardPlanesCtx(ctx, r.dev, c, payload, s0-e.PlaneOff, s1-e.PlaneOff)
 	if err != nil {
 		return err
 	}
-	s0, s1 := clampSpan(e.PlaneOff, e.PlaneOff+e.Planes, lo, hi)
-	copy(dst[(s0-lo)*r.ps:(s1-lo)*r.ps], recon[(s0-e.PlaneOff)*r.ps:(s1-e.PlaneOff)*r.ps])
+	copy(dst[(s0-lo)*r.ps:(s1-lo)*r.ps], recon)
 	return nil
 }
 

@@ -433,6 +433,17 @@ func AppendUvarint(dst []byte, v uint64) []byte {
 	return append(dst, byte(v))
 }
 
+// UvarintLen returns the length of v's minimal LEB128 encoding, the number
+// of bytes AppendUvarint appends.
+func UvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
 // Uvarint decodes a LEB128 value from p, returning the value and the number
 // of bytes consumed (0 if p is truncated).
 func Uvarint(p []byte) (uint64, int) {

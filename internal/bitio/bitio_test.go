@@ -173,6 +173,9 @@ func TestUvarint(t *testing.T) {
 		if n != len(buf) || got != v {
 			t.Fatalf("Uvarint(%d): got %d, n=%d len=%d", v, got, n, len(buf))
 		}
+		if UvarintLen(v) != len(buf) {
+			t.Fatalf("UvarintLen(%d) = %d, AppendUvarint wrote %d bytes", v, UvarintLen(v), len(buf))
+		}
 	}
 	if _, n := Uvarint([]byte{0x80, 0x80}); n != 0 {
 		t.Fatal("truncated varint should return n=0")

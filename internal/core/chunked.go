@@ -89,6 +89,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/arena"
 	"repro/internal/bitio"
@@ -183,16 +184,6 @@ func appendUvarintWide(dst []byte, v uint64, width int) []byte {
 	return append(dst, byte(v))
 }
 
-// uvarintLen returns the minimal LEB128 encoding length of v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // AppendChunkedHeaderSized serializes a chunked global header of any v2–v5
 // version; relative (v3+) marks eb as value-range-relative. nchunks 0
 // means the ceiling division of dims[0] by chunkPlanes and padTo 0 means
@@ -235,13 +226,13 @@ func AppendChunkedHeaderSized(dst []byte, ver int, dims []int, eb float64, relat
 		return nil, fmt.Errorf("core: %d chunks is invalid for %d planes of %d", nchunks, dims[0], chunkPlanes)
 	}
 	// The two growing fields, dims[0] and nchunks, absorb the padding.
-	w0, wn := uvarintLen(uint64(dims[0])), uvarintLen(uint64(nchunks))
+	w0, wn := bitio.UvarintLen(uint64(dims[0])), bitio.UvarintLen(uint64(nchunks))
 	if padTo > 0 {
-		minimal := len(magic) + 2 + uvarintLen(uint64(len(dims))) + w0
+		minimal := len(magic) + 2 + bitio.UvarintLen(uint64(len(dims))) + w0
 		for _, d := range dims[1:] {
-			minimal += uvarintLen(uint64(d))
+			minimal += bitio.UvarintLen(uint64(d))
 		}
-		minimal += 8 + uvarintLen(uint64(chunkPlanes)) + wn
+		minimal += 8 + bitio.UvarintLen(uint64(chunkPlanes)) + wn
 		pad := padTo - minimal
 		if pad < 0 || w0+pad > 2*10 {
 			return nil, fmt.Errorf("core: header needs %d bytes, cannot pad to %d", minimal, padTo)
@@ -782,7 +773,7 @@ func readChunkedHeaderBody(r io.Reader, ver, flags byte) (*ChunkedInfo, error) {
 }
 
 // validateChunkFrame applies the frame-header rules shared by the stream
-// parser (ReadChunkFrame) and the blob scanner (scanChunkFrame), so the
+// parser (ReadChunkFrame) and the blob scanner (ScanChunkFrame), so the
 // two decode paths can never drift apart on what is a valid frame.
 func validateChunkFrame(h *ChunkedInfo, c *ChunkInfo, plen uint64) error {
 	if c.Offset >= h.Dims[0] {
@@ -864,11 +855,6 @@ func VerifyChunkPayload(c *ChunkInfo, payload []byte) error {
 		return fmt.Errorf("core: chunk at plane %d: checksum mismatch: %w", c.Offset, ErrCorrupt)
 	}
 	return nil
-}
-
-// verifyChunkPayload is the internal spelling kept for the blob scanner.
-func verifyChunkPayload(c *ChunkInfo, payload []byte) error {
-	return VerifyChunkPayload(c, payload)
 }
 
 // ReadChunkFrame parses the next chunk frame from r, returning its header
@@ -967,44 +953,57 @@ func verifyV1ShardPayload(c *ChunkInfo, payload []byte) error {
 	return nil
 }
 
-// DecompressShardCtx is DecompressShard with a reusable context. With a
-// non-nil ctx the returned slab is context scratch, valid until ctx.Reset.
-// v5 chunks dispatch through the codec registry by their wire ID; an
-// unknown ID fails with ErrCorrupt. The v1-payload cross-checks apply to
-// v2–v4 chunks and to assembly codecs (which wrap v1 containers); a
-// registered codec without Options owns its own payload format and only
-// its Decompress judges the bytes.
+// DecompressShardCtx is DecompressShard with a reusable context: it is
+// DecompressShardPlanesCtx over every plane of the chunk.
 func DecompressShardCtx(ctx *arena.Ctx, dev *gpusim.Device, c *ChunkInfo, payload []byte) ([]float32, error) {
+	return DecompressShardPlanesCtx(ctx, dev, c, payload, 0, c.Dims[0])
+}
+
+// DecompressShardPlanesCtx decodes planes [lo, hi) of one chunk (counted
+// from the chunk's first plane) and validates the payload against the
+// frame header. With a non-nil ctx the returned planes are context
+// scratch, valid until ctx.Reset. v5 chunks dispatch through the codec
+// registry by their wire ID; an unknown ID fails with ErrCorrupt. The
+// v1-payload cross-checks apply to v2–v4 chunks and to assembly codecs
+// (which wrap v1 containers, so their interpolation payloads reconstruct
+// only the blocks owning the planes); a registered codec without Options
+// owns its own payload format, only its Decompress judges the bytes, and
+// its whole-shard result is sliced.
+func DecompressShardPlanesCtx(ctx *arena.Ctx, dev *gpusim.Device, c *ChunkInfo, payload []byte, lo, hi int) ([]float32, error) {
+	if lo < 0 || hi > c.Dims[0] || lo >= hi {
+		// Callers derive the range from a chunk index, which the frame
+		// then contradicts.
+		return nil, fmt.Errorf("core: chunk at plane %d has no planes %d:%d of its %d: %w", c.Offset, lo, hi, c.Dims[0], ErrCorrupt)
+	}
+	var cd Codec // nil for v2–v4 chunks, which carry no codec ID
+	if c.CodecID != codecInvalid {
+		var ok bool
+		if cd, ok = CodecByID(c.CodecID); !ok {
+			return nil, fmt.Errorf("core: chunk at plane %d: unknown codec id %d: %w", c.Offset, c.CodecID, ErrCorrupt)
+		}
+	}
 	var recon []float32
 	var rdims []int
 	var err error
-	if c.CodecID != codecInvalid {
-		cd, ok := CodecByID(c.CodecID)
-		if !ok {
-			return nil, fmt.Errorf("core: chunk at plane %d: unknown codec id %d: %w", c.Offset, c.CodecID, ErrCorrupt)
-		}
-		if _, isAssembly := cd.(optioned); isAssembly {
-			if err := verifyV1ShardPayload(c, payload); err != nil {
-				return nil, err
-			}
-		}
-		recon, rdims, err = cd.Decompress(ctx, dev, payload)
-	} else {
+	_, isAssembly := cd.(optioned)
+	if cd == nil || isAssembly {
 		if err := verifyV1ShardPayload(c, payload); err != nil {
 			return nil, err
 		}
-		recon, rdims, err = DecompressCtx(ctx, dev, payload)
+		// Every assembly codec's Decompress is DecompressCtx, the whole-
+		// field form of decompressPlanes.
+		recon, rdims, err = decompressPlanes(ctx, dev, payload, lo, hi)
+	} else {
+		recon, rdims, err = cd.Decompress(ctx, dev, payload)
+		if ps := planeSize(c.Dims); err == nil && len(recon) == c.Dims[0]*ps {
+			recon = recon[lo*ps : hi*ps]
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	if len(rdims) != len(c.Dims) {
+	if !slices.Equal(rdims, c.Dims) || len(recon) != (hi-lo)*planeSize(c.Dims) {
 		return nil, ErrCorrupt
-	}
-	for i, d := range rdims {
-		if d != c.Dims[i] {
-			return nil, ErrCorrupt
-		}
 	}
 	return recon, nil
 }
@@ -1072,11 +1071,11 @@ func ScanFrameHeader(buf []byte, h *ChunkedInfo) (*ChunkInfo, int, int, error) {
 	return c, off, int(plen), nil
 }
 
-// scanChunkFrame parses the chunk frame at blob[off:] without copying the
+// ScanChunkFrame parses the chunk frame at blob[off:] without copying the
 // payload (it is returned as a subslice), sharing ScanFrameHeader and
-// verifyChunkPayload with the other decode paths. It returns the offset
+// VerifyChunkPayload with the other decode paths. It returns the offset
 // just past the frame.
-func scanChunkFrame(blob []byte, off int, h *ChunkedInfo) (*ChunkInfo, []byte, int, error) {
+func ScanChunkFrame(blob []byte, off int, h *ChunkedInfo) (*ChunkInfo, []byte, int, error) {
 	if off < 0 || off > len(blob) {
 		return nil, nil, 0, ErrCorrupt
 	}
@@ -1090,7 +1089,7 @@ func scanChunkFrame(blob []byte, off int, h *ChunkedInfo) (*ChunkInfo, []byte, i
 	}
 	payload := blob[off : off+plen]
 	off += plen
-	if err := verifyChunkPayload(c, payload); err != nil {
+	if err := VerifyChunkPayload(c, payload); err != nil {
 		return nil, nil, 0, err
 	}
 	return c, payload, off, nil
@@ -1117,7 +1116,7 @@ func decompressChunked(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float
 	nextPlane := 0
 	for i := range chunks {
 		frameOffs[i] = off
-		c, payload, next, err := scanChunkFrame(blob, off, h)
+		c, payload, next, err := ScanChunkFrame(blob, off, h)
 		if err != nil {
 			return nil, nil, err
 		}

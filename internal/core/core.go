@@ -44,10 +44,10 @@ var (
 // predictorEntry is one registered lossy decomposition stage. compress
 // appends the predictor header and payload to the container under
 // construction; decompress resumes at blob[off:], just past the shared
-// container header.
+// container header, and returns planes [lo, hi) of dims[0].
 type predictorEntry struct {
 	compress   func(ctx *arena.Ctx, dev *gpusim.Device, out []byte, data []float32, dims []int, eb float64, opts Options) ([]byte, error)
-	decompress func(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, off int, dims []int, total int, eb float64) ([]float32, []int, error)
+	decompress func(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, off int, dims []int, total int, eb float64, lo, hi int) ([]float32, []int, error)
 }
 
 // predictors is the predictor registry: Compress/Decompress dispatch
@@ -437,11 +437,26 @@ func Decompress(dev *gpusim.Device, blob []byte) ([]float32, []int, error) {
 // returned field and dims are context scratch, valid until the next
 // ctx.Reset — copy them out before recycling the context.
 func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float32, []int, error) {
+	return decompressPlanes(ctx, dev, blob, 0, math.MaxInt)
+}
+
+// decompressPlanes is DecompressCtx restricted to planes [lo, min(hi,
+// dims[0])) along dims[0]: it returns those planes and the whole field's
+// dims. An interpolation payload reconstructs only the blocks owning the
+// planes; every other payload decodes whole and is sliced.
+func decompressPlanes(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, lo, hi int) ([]float32, []int, error) {
 	if len(blob) < 6 || !bytes.Equal(blob[:4], magic[:]) {
 		return nil, nil, ErrCorrupt
 	}
 	if blob[4] >= version2 && blob[4] <= version5 {
-		return decompressChunked(ctx, dev, blob)
+		field, dims, err := decompressChunked(ctx, dev, blob)
+		if err != nil {
+			return nil, nil, err
+		}
+		if hi, err = clampPlanes(dims, lo, hi); err != nil {
+			return nil, nil, err
+		}
+		return planes(field, dims, lo, hi), dims, nil
 	}
 	if blob[4] != version {
 		// An unknown version byte is wire data, not API misuse: the standing
@@ -481,10 +496,31 @@ func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float32, 
 	if !ok {
 		return nil, nil, ErrCorrupt // unknown predictor wire value
 	}
-	return pc.decompress(ctx, dev, blob, off, dims, total, eb)
+	hi, err := clampPlanes(dims, lo, hi)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pc.decompress(ctx, dev, blob, off, dims, total, eb, lo, hi)
 }
 
-func decompressInterp(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, off int, dims []int, total int, eb float64) ([]float32, []int, error) {
+// clampPlanes clamps hi to dims[0] and checks that [lo, hi) is a
+// non-empty run of planes. The request comes from a chunk frame's plane
+// count, so a payload lacking the planes is corrupt.
+func clampPlanes(dims []int, lo, hi int) (int, error) {
+	hi = min(hi, dims[0])
+	if lo < 0 || lo >= hi {
+		return 0, fmt.Errorf("core: plane range %d:%d outside payload with %d planes: %w", lo, hi, dims[0], ErrCorrupt)
+	}
+	return hi, nil
+}
+
+// planes returns planes [lo, hi) along dims[0] of field.
+func planes(field []float32, dims []int, lo, hi int) []float32 {
+	ps := planeSize(dims)
+	return field[lo*ps : hi*ps]
+}
+
+func decompressInterp(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, off int, dims []int, total int, eb float64, lo, hi int) ([]float32, []int, error) {
 	if off+2 > len(blob) {
 		return nil, nil, ErrCorrupt
 	}
@@ -566,16 +602,27 @@ func decompressInterp(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, off int, 
 		codes = natural
 	}
 	res := &interp.Result{Codes: codes, Anchors: anchors, Outliers: &outliers}
-	recon, err := interp.DecompressCtx(ctx, dev, res, g, cfg, eb)
+	// NewGrid folds dims[:len-2] into z, so from rank 3 up a plane along
+	// dims[0] is a whole number of z-planes; below that, decode all of z
+	// and slice.
+	z0, z1 := 0, g.Nz
+	if len(dims) >= 3 {
+		k := g.Nz / dims[0]
+		z0, z1 = lo*k, hi*k
+	}
+	recon, err := interp.DecompressPlanesCtx(ctx, dev, res, g, cfg, eb, z0, z1)
 	if err != nil {
-		// Everything DecompressCtx rejects came off the wire, such as an
-		// outlier code whose value the outlier section lacks.
+		// Everything DecompressPlanesCtx rejects came off the wire, such as
+		// an outlier code whose value the outlier section lacks.
 		return nil, nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	if len(dims) < 3 {
+		recon = planes(recon, dims, lo, hi)
 	}
 	return recon, dims, nil
 }
 
-func decompressLorenzo(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, off int, dims []int, total int, eb float64) ([]float32, []int, error) {
+func decompressLorenzo(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, off int, dims []int, total int, eb float64, lo, hi int) ([]float32, []int, error) {
 	if off >= len(blob) {
 		return nil, nil, ErrCorrupt
 	}
@@ -625,5 +672,5 @@ func decompressLorenzo(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, off int,
 	if err != nil {
 		return nil, nil, err
 	}
-	return recon, dims, nil
+	return planes(recon, dims, lo, hi), dims, nil
 }

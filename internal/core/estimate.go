@@ -139,10 +139,10 @@ func bitplaneBitsPerSym(freq []int64) float64 {
 
 // outlierBytes returns the exact serialized size of an outlier section.
 func outlierBytes(o *quant.Outliers) int {
-	n := uvarintLen(uint64(o.Len()))
+	n := bitio.UvarintLen(uint64(o.Len()))
 	prev := 0
 	for _, p := range o.Pos {
-		n += uvarintLen(uint64(p - prev))
+		n += bitio.UvarintLen(uint64(p - prev))
 		prev = p
 	}
 	return n + 4*len(o.Val)
@@ -195,7 +195,7 @@ func estimateCandidates(ctx *arena.Ctx, dev *gpusim.Device, data []float32, dims
 	}
 	escBytes := 0
 	for _, e := range resL.Escapes {
-		escBytes += uvarintLen(bitio.ZigZag(e))
+		escBytes += bitio.UvarintLen(bitio.ZigZag(e))
 	}
 	cuszLBytes := int(float64(hfL) + (float64(escBytes)+float64(outlierBytes(&resL.ValOutliers)))*scale + lorenzoHeaderBytes)
 

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -188,11 +189,22 @@ func Decompress(dev *gpusim.Device, res *Result, g Grid, cfg Config, eb float64)
 	return DecompressCtx(nil, dev, res, g, cfg, eb)
 }
 
-// DecompressCtx is Decompress with a reusable context. With a non-nil ctx
-// the returned field is context scratch, valid until the next ctx.Reset.
-// An outlier code whose position res.Outliers lacks is an error wrapping
-// quant.ErrCorrupt.
+// DecompressCtx is Decompress with a reusable context: DecompressPlanesCtx
+// over every z-plane of g.
 func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, res *Result, g Grid, cfg Config, eb float64) ([]float32, error) {
+	return DecompressPlanesCtx(ctx, dev, res, g, cfg, eb, 0, g.Nz)
+}
+
+// DecompressPlanesCtx reconstructs z-planes [z0, z1) of the field into a
+// (z1−z0)·Ny·Nx slice. Blocks are predicted independently from their
+// anchors, so only the blocks whose owned z-range overlaps the window run.
+// With a non-nil ctx the returned planes are context scratch, valid until
+// the next ctx.Reset.
+//
+// An outlier code whose position res.Outliers lacks is an error wrapping
+// quant.ErrCorrupt — anywhere in the field, not only in the window, so a
+// window decode fails exactly when the whole decode does.
+func DecompressPlanesCtx(ctx *arena.Ctx, dev *gpusim.Device, res *Result, g Grid, cfg Config, eb float64, z0, z1 int) ([]float32, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -205,24 +217,32 @@ func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, res *Result, g Grid, cfg 
 	if eb <= 0 {
 		return nil, fmt.Errorf("interp: error bound %v must be positive", eb)
 	}
+	if z0 < 0 || z1 > g.Nz || z0 >= z1 {
+		return nil, fmt.Errorf("interp: plane range %d:%d outside grid with %d planes", z0, z1, g.Nz)
+	}
 	twoEB := 2 * eb
-	out := ctx.F32(g.Len())
+	plane := g.Ny * g.Nx
+	out := ctx.F32((z1 - z0) * plane)
 	azd, ayd, axd := g.AnchorDims(cfg.AnchorStride)
 	nbz, nby, nbx := blockGrid(g, &cfg)
+	// Block layer bz owns z-planes [bz·BlockZ, (bz+1)·BlockZ), the last
+	// layer up to Nz; [bz0, bz1) are the layers owning a window plane.
+	bz0 := min(z0/cfg.BlockZ, nbz-1)
+	bz1 := min((z1-1)/cfg.BlockZ, nbz-1) + 1
 	sc := scratchFor(ctx)
 	sc.missing.Store(false)
-	dev.Launch(nbz*nby*nbx, func(bi int) {
+	dev.Launch((bz1-bz0)*nby*nbx, func(bi int) {
 		bk := bufPool.Get().(*block)
 		defer bufPool.Put(bk)
 		bx := bi % nbx
 		by := (bi / nbx) % nby
-		bz := bi / (nbx * nby)
+		bz := bz0 + bi/(nbx*nby)
 		bk.initBlock(g, &cfg, bz, by, bx)
 		bk.anchors = res.Anchors
 		bk.az = [3]int{azd, ayd, axd}
 		bk.loadAnchors(func(z, y, x int, v float32) {
-			if bk.owns(z, y, x) {
-				out[g.flat(z, y, x)] = v
+			if bk.owns(z, y, x) && z >= z0 && z < z1 {
+				out[g.flat(z, y, x)-z0*plane] = v
 			}
 		})
 		bk.run(func(z, y, x0, xstep int, preds []float32, nOwn int) {
@@ -240,13 +260,46 @@ func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, res *Result, g Grid, cfg 
 				}
 				preds[i] = v
 			}
+			if z < z0 || z >= z1 {
+				return
+			}
+			o0 := g0 - z0*plane
 			for i, v := range preds[:nOwn] {
-				out[g0+i*xstep] = v
+				out[o0+i*xstep] = v
 			}
 		})
 	})
-	if sc.missing.Load() {
+	// Skipped blocks still owe the whole decode's verdict.
+	partial := bz0 > 0 || bz1 < nbz
+	if sc.missing.Load() || partial && missingOutlier(res, g, cfg.AnchorStride) {
 		return nil, fmt.Errorf("interp: outlier code with no outlier value: %w", quant.ErrCorrupt)
 	}
 	return out, nil
+}
+
+// missingOutlier reports whether any non-anchor point carries an outlier
+// code whose position res.Outliers lacks — exactly the points a whole
+// decode would look up and miss (anchor points take their stored values
+// and never read their codes). One IndexByte sweep finds the outlier codes
+// and a merge against the ascending positions checks them.
+func missingOutlier(res *Result, g Grid, a int) bool {
+	pos := res.Outliers.Pos
+	j := 0
+	for p := 0; ; p++ {
+		k := bytes.IndexByte(res.Codes[p:], quant.OutlierCode)
+		if k < 0 {
+			return false
+		}
+		p += k
+		x, y, z := p%g.Nx, p/g.Nx%g.Ny, p/(g.Nx*g.Ny)
+		if (x|y|z)&(a-1) == 0 {
+			continue
+		}
+		for j < len(pos) && pos[j] < p {
+			j++
+		}
+		if j == len(pos) || pos[j] != p {
+			return true
+		}
+	}
 }

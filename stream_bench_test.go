@@ -1,9 +1,12 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
+	"repro/cuszhi"
+	"repro/cuszhi/stream"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/gpusim"
@@ -75,6 +78,43 @@ func BenchmarkStreamChunked(b *testing.B) {
 			b.SetBytes(int64(f.SizeBytes()))
 			for i := 0; i < b.N; i++ {
 				if _, _, err := core.Decompress(dev, chunkedBlob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReadPlanesWindow compares an aligned 8-plane window inside a
+// 32-plane hi-cr shard with a read of the whole shard through the same
+// ReaderAt. Both read and entropy-decode the whole shard; the window
+// reconstructs only the 16-plane interpolation block layer that owns its
+// planes.
+//
+//	go test -run XXX -bench ReadPlanesWindow .
+func BenchmarkReadPlanesWindow(b *testing.B) {
+	dims := []int{64, 128, 128}
+	f, err := datagen.Generate("miranda", dims, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err := stream.CompressAbs(f.Data, dims, metrics.AbsEB(f.Data, 1e-3), stream.WithMode(cuszhi.ModeCR))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ra, err := stream.OpenReaderAt(bytes.NewReader(blob), int64(len(blob)), stream.WithWorkers(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []struct {
+		name   string
+		lo, hi int
+	}{{"window-8", 40, 48}, {"shard-32", 32, 64}} {
+		b.Run(w.name, func(b *testing.B) {
+			b.SetBytes(int64((w.hi - w.lo) * dims[1] * dims[2] * 4))
+			var dst []float32
+			for i := 0; i < b.N; i++ {
+				if dst, err = ra.ReadPlanes(dst, w.lo, w.hi); err != nil {
 					b.Fatal(err)
 				}
 			}
