@@ -113,18 +113,17 @@ func BenchmarkFig5(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	perm := quant.LevelOrderPerm(f.Dims, 16)
 	dst := make([]uint8, len(codes))
 	b.Run("reorder", func(b *testing.B) {
 		b.SetBytes(int64(len(codes)))
 		for i := 0; i < b.N; i++ {
-			quant.Apply(bdev, perm, codes, dst)
+			quant.Gather(bdev, f.Dims, 16, codes, dst)
 		}
 	})
 	b.Run("invert", func(b *testing.B) {
 		b.SetBytes(int64(len(codes)))
 		for i := 0; i < b.N; i++ {
-			quant.Invert(bdev, perm, dst, codes)
+			quant.Scatter(bdev, f.Dims, 16, dst, codes)
 		}
 	})
 }

@@ -85,6 +85,20 @@ func quantLike(n int, seed int64) []byte {
 	return out
 }
 
+// skewedBytes is a zero-heavy stream like hi-cr's level-ordered codes:
+// about 90% one symbol, about 1.4 bits per symbol once Huffman-coded.
+func skewedBytes(n int, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = 128
+		if rng.Intn(10) == 0 {
+			out[i] = byte(128 + rng.NormFloat64()*5)
+		}
+	}
+	return out
+}
+
 // chunkedSpec resolves a mode (and auto-mode policy) into the encode spec
 // of a version-ver chunked container (0: the mode's native layout) under
 // the absolute bound eb.
@@ -109,6 +123,10 @@ func suite(quick bool) ([]bench, error) {
 
 	hfData := quantLike(hfN, 1)
 	hfEnc, err := huffman.EncodeBytes(dev, hfData)
+	if err != nil {
+		return nil, err
+	}
+	skewEnc, err := huffman.EncodeBytes(dev, skewedBytes(hfN, 3))
 	if err != nil {
 		return nil, err
 	}
@@ -385,6 +403,15 @@ func suite(quick bool) ([]bench, error) {
 		{"huffman/decode-bytes", int64(hfN), 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := huffman.DecodeBytes(dev, hfEnc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"huffman/decode-bytes-skewed", int64(hfN), 0, func(b *testing.B) {
+			ctx := arena.NewCtx()
+			for i := 0; i < b.N; i++ {
+				ctx.Reset()
+				if _, err := huffman.DecodeBytesCtx(ctx, dev, skewEnc); err != nil {
 					b.Fatal(err)
 				}
 			}

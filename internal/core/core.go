@@ -386,9 +386,8 @@ func compressInterp(ctx *arena.Ctx, dev *gpusim.Device, out []byte, data []float
 	// Codes, optionally reordered, through the lossless pipeline.
 	codes := res.Codes
 	if opts.Reorder {
-		perm := quant.LevelOrderPermCtx(ctx, dims, cfg.AnchorStride)
 		reordered := ctx.Bytes(len(codes))
-		quant.Apply(dev, perm, codes, reordered)
+		quant.Gather(dev, dims, cfg.AnchorStride, codes, reordered)
 		codes = reordered
 	}
 	payload, err := encodeCodes(ctx, dev, codes, res.Freq, opts.Pipeline)
@@ -596,9 +595,8 @@ func decompressInterp(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, off int, 
 		return nil, nil, ErrCorrupt
 	}
 	if reorder {
-		perm := quant.LevelOrderPermCtx(ctx, dims, stride)
 		natural := ctx.Bytes(total)
-		quant.Invert(dev, perm, codes, natural)
+		quant.Scatter(dev, dims, stride, codes, natural)
 		codes = natural
 	}
 	res := &interp.Result{Codes: codes, Anchors: anchors, Outliers: &outliers}

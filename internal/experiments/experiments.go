@@ -209,9 +209,8 @@ func HiQuantCodes(dev *gpusim.Device, f *datagen.Field, relEB float64, reorder b
 	if !reorder {
 		return res.Codes, nil
 	}
-	perm := quant.LevelOrderPerm(f.Dims, cfg.AnchorStride)
 	out := make([]uint8, len(res.Codes))
-	quant.Apply(dev, perm, res.Codes, out)
+	quant.Gather(dev, f.Dims, cfg.AnchorStride, res.Codes, out)
 	return out, nil
 }
 

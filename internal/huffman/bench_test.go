@@ -16,6 +16,21 @@ func quantLike(n int, seed int64) []byte {
 	return out
 }
 
+// skewedBytes is a zero-heavy code stream like hi-cr's level-ordered
+// quantization codes: about 90% of the symbols are ZeroCode-like 128 and
+// the rest spread around it, about 1.4 bits per symbol once coded.
+func skewedBytes(n int, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = 128
+		if rng.Intn(10) == 0 {
+			out[i] = byte(128 + rng.NormFloat64()*5)
+		}
+	}
+	return out
+}
+
 func BenchmarkEncodeBytes(b *testing.B) {
 	data := quantLike(1<<22, 1)
 	b.SetBytes(int64(len(data)))
@@ -40,6 +55,27 @@ func BenchmarkDecodeBytes(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDecodeBytesSkewed measures the byte kernel on a zero-heavy
+// stream, where most table probes resolve a full run of codes: the regime
+// of hi-cr's entropy decode. The context is warm, as in a shard worker.
+func BenchmarkDecodeBytesSkewed(b *testing.B) {
+	data := skewedBytes(1<<22, 3)
+	enc, err := EncodeBytes(dev, data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := arena.NewCtx()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx.Reset()
+		if _, err := DecodeBytesCtx(ctx, dev, enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(8*len(enc))/float64(len(data)), "bits/sym")
 }
 
 // BenchmarkDecodeSymbols measures multi-symbol decode throughput on the

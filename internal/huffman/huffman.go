@@ -16,6 +16,18 @@
 // one code, a *pair* of short codes in a single probe, or a sub-table
 // pointer for codes longer than tableBits.
 //
+// Byte streams (DecodeBytes, the quantization codes of every pipeline)
+// decode through a third table beside those two: per probe, the run of up
+// to 8 byte symbols whose codes lie wholly inside the probe, packed into
+// one uint64 with the run's length and total bit count. At 1–2.5 bits per
+// symbol a probe holds 5–9 codes, so the byte kernel usually stores 8
+// output bytes per lookup, straight into the output, as the GPU decoder
+// resolves many codes per lookup. It falls back to one symbol at a time
+// through the primary and sub tables for codes longer than tableBits, a
+// symbol above 255 (which is corrupt), bits running out, and a chunk's
+// last 7 symbols, so it accepts and rejects exactly the streams the
+// one-symbol decoder does.
+//
 // The *Ctx entry points draw every working buffer (histograms, tree
 // scratch, per-chunk bit writers, decode tables, outputs) from a reusable
 // arena.Ctx, so steady-state encode/decode performs near-zero heap
@@ -92,6 +104,7 @@ type scratch struct {
 		codes   []code
 		src     []byte
 		out     []uint16
+		out8    []byte
 		chunk   int
 		failed  atomic.Bool
 	}
@@ -282,16 +295,31 @@ const tableBits = 12
 //
 // Sub entry layout (uint32): 0 invalid; else sym bits 0..15, total code
 // length bits 16..21.
+//
+// Byte multi-symbol table (byte alphabets only; built by buildByteTable):
+// for each of the 1<<tableBits probe values v, bytes[v] holds in byte k
+// the k-th symbol of the longest run of at most 8 codes that lie wholly
+// inside v's tableBits bits, all of them primary (single or pair) codes
+// of symbols <= 255. info[v] holds the run length n in bits 8..15 and
+// the run's total code length in bits 0..7; a probe whose first code
+// cannot start a run (sub-table, invalid, symbol > 255) has n = 0 and a
+// total of noRun, which no accumulator can hold, so the kernel's single
+// "total fits the loaded bits" test also rejects it.
 const (
 	kindShift  = 62
 	kindSingle = 1
 	kindPair   = 2
 	kindSub    = 3
+
+	maxRun = 8
+	noRun  = 0xff
 )
 
 type decodeTable struct {
 	primary []uint64
 	sub     []uint32
+	bytes   []uint64
+	info    []uint16
 }
 
 // buildDecodeTable constructs the two-level multi-symbol LUT from code
@@ -306,7 +334,7 @@ func (s *scratch) buildDecodeTable(lens []uint8) (*decodeTable, error) {
 		}
 	}
 	if kraft > 1<<MaxCodeLen {
-		return nil, fmt.Errorf("huffman: overlapping codes (corrupt lengths)")
+		return nil, fmt.Errorf("%w: overlapping codes", ErrCorrupt)
 	}
 	codes := s.canonicalCodes(lens)
 	t := &s.table
@@ -397,6 +425,42 @@ func (s *scratch) buildDecodeTable(lens []uint8) (*decodeTable, error) {
 		t.primary[v] = kindPair<<kindShift | (len1+len2)<<40 | len1<<32 | sym2<<16 | e&0xffff
 	}
 	return t, nil
+}
+
+// buildByteTable fills the byte multi-symbol table from the primary table
+// buildDecodeTable just built: each probe value is decoded greedily, code
+// by code as decodeChunk would, until maxRun symbols, a code that runs
+// past the probe's bits, or an entry that is not a primary code of a
+// symbol <= 255.
+func (t *decodeTable) buildByteTable() {
+	if cap(t.bytes) < 1<<tableBits {
+		t.bytes = make([]uint64, 1<<tableBits)
+		t.info = make([]uint16, 1<<tableBits)
+	}
+	t.bytes = t.bytes[:1<<tableBits]
+	t.info = t.info[:1<<tableBits]
+	for v := range t.bytes {
+		var run uint64
+		n, used := uint64(0), uint64(0)
+		for n < maxRun {
+			e := t.primary[v>>used]
+			if k := e >> kindShift; k != kindSingle && k != kindPair {
+				break
+			}
+			sym, l := e&0xffff, (e>>32)&0x3f
+			if sym > 255 || used+l > tableBits {
+				break
+			}
+			run |= sym << (8 * n)
+			n++
+			used += l
+		}
+		if n == 0 {
+			used = noRun
+		}
+		t.bytes[v] = run
+		t.info[v] = uint16(n<<8 | used)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -610,15 +674,31 @@ func Decode(dev *gpusim.Device, data []byte) ([]uint16, error) {
 // DecodeCtx is Decode with a reusable context. With a non-nil ctx the
 // returned slice is context scratch, valid until the next ctx.Reset.
 func DecodeCtx(ctx *arena.Ctx, dev *gpusim.Device, data []byte) ([]uint16, error) {
+	s := scratchFor(ctx)
+	nSyms, chunk, err := s.parseContainer(data)
+	if err != nil {
+		return nil, err
+	}
+	out := ctx.U16(nSyms)
+	if err := s.launchDecode(dev, data, chunk, out, nil); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// parseContainer validates data's header and chunk directory, records
+// each chunk's payload span in s.starts/s.chunkLens, and builds the
+// primary and sub decode tables. It returns the symbol count and the
+// chunk size.
+func (s *scratch) parseContainer(data []byte) (nSyms, chunk int, err error) {
 	alphabet64, n := bitio.Uvarint(data)
 	if n == 0 || alphabet64 == 0 || alphabet64 > 1<<16 {
-		return nil, ErrCorrupt
+		return 0, 0, ErrCorrupt
 	}
-	s := scratchFor(ctx)
 	off := n
 	lens, used, err := parseLengthsRLE(data[off:], int(alphabet64), s.lens)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	s.lens = lens
 	off += used
@@ -628,43 +708,44 @@ func DecodeCtx(ctx *arena.Ctx, dev *gpusim.Device, data []byte) ([]uint16, error
 	// chunk count.
 	nSyms64, n := bitio.Uvarint(data[off:])
 	if n == 0 {
-		return nil, ErrCorrupt
+		return 0, 0, ErrCorrupt
 	}
 	off += n
 	nSyms, ok := bitio.IntLen(nSyms64)
 	if !ok {
-		return nil, ErrCorrupt
+		return 0, 0, ErrCorrupt
 	}
 	chunk64, n := bitio.Uvarint(data[off:])
 	if n == 0 || chunk64 == 0 {
-		return nil, ErrCorrupt
+		return 0, 0, ErrCorrupt
 	}
 	off += n
-	chunk, ok := bitio.IntLen(chunk64)
+	chunk, ok = bitio.IntLen(chunk64)
 	if !ok {
-		return nil, ErrCorrupt
+		return 0, 0, ErrCorrupt
 	}
 	nChunks64, n := bitio.Uvarint(data[off:])
 	if n == 0 {
-		return nil, ErrCorrupt
+		return 0, 0, ErrCorrupt
 	}
 	off += n
 	nChunks, ok := bitio.IntLen(nChunks64)
 	if !ok || nChunks > len(data) {
-		return nil, ErrCorrupt
+		return 0, 0, ErrCorrupt
 	}
 	want := (nSyms + chunk - 1) / chunk
 	if nSyms == 0 {
 		want = 0
 	}
 	if nChunks != want {
-		return nil, ErrCorrupt
+		return 0, 0, ErrCorrupt
 	}
 	if cap(s.chunkLens) < nChunks {
 		s.chunkLens = make([]int, nChunks)
 		s.starts = make([]int, nChunks)
 	}
-	chunkLens := s.chunkLens[:nChunks]
+	s.chunkLens = s.chunkLens[:nChunks]
+	chunkLens := s.chunkLens
 	total := 0
 	for i := range chunkLens {
 		l, n := bitio.Uvarint(data[off:])
@@ -672,57 +753,89 @@ func DecodeCtx(ctx *arena.Ctx, dev *gpusim.Device, data []byte) ([]uint16, error
 		// conversion: a 2^63-scale value would go negative, slip past the
 		// sum check below, and panic slicing the chunk.
 		if n == 0 || l > uint64(len(data)) {
-			return nil, ErrCorrupt
+			return 0, 0, ErrCorrupt
 		}
 		off += n
 		chunkLens[i] = int(l)
 		total += int(l)
 		if total > len(data) {
-			return nil, ErrCorrupt
+			return 0, 0, ErrCorrupt
 		}
 	}
 	if off+total > len(data) {
-		return nil, ErrCorrupt
+		return 0, 0, ErrCorrupt
 	}
 	// Every symbol costs at least one payload bit, so a header declaring
 	// more symbols than the payload can hold is hostile — reject it before
 	// sizing the output (allocation-bomb hardening).
 	if int64(nSyms) > int64(total)*8 {
-		return nil, ErrCorrupt
+		return 0, 0, ErrCorrupt
 	}
-	starts := s.starts[:nChunks]
+	s.starts = s.starts[:nChunks]
 	pos := off
 	for i, l := range chunkLens {
-		starts[i] = pos
+		s.starts[i] = pos
 		pos += l
 	}
 	if _, err := s.buildDecodeTable(lens); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	out := ctx.U16(nSyms)
-	s.k.src, s.k.out, s.k.chunk = data, out, chunk
+	return nSyms, chunk, nil
+}
+
+// launchDecode decodes every chunk of data in parallel on dev: into out8
+// with decodeChunkBytes when out8 is non-nil, else into out with
+// decodeChunk. parseContainer must have run on data.
+func (s *scratch) launchDecode(dev *gpusim.Device, data []byte, chunk int, out []uint16, out8 []byte) error {
+	s.k.src, s.k.chunk, s.k.out, s.k.out8 = data, chunk, out, out8
 	s.k.failed.Store(false)
 	if s.decJob == nil {
 		k := &s.k
 		s.decJob = func(b int) {
-			src, out := k.src, k.out
-			lo := b * k.chunk
-			hi := lo + k.chunk
-			if hi > len(out) {
-				hi = len(out)
-			}
 			start := s.starts[b]
-			if err := decodeChunk(src[start:start+s.chunkLens[b]], &s.table, out[lo:hi]); err != nil {
+			src := k.src[start : start+s.chunkLens[b]]
+			lo := b * k.chunk
+			var err error
+			if k.out8 != nil {
+				err = decodeChunkBytes(src, &s.table, k.out8[lo:min(lo+k.chunk, len(k.out8))])
+			} else {
+				err = decodeChunk(src, &s.table, k.out[lo:min(lo+k.chunk, len(k.out))])
+			}
+			if err != nil {
 				k.failed.Store(true)
 			}
 		}
 	}
-	dev.Launch(nChunks, s.decJob)
+	dev.Launch(len(s.starts), s.decJob)
 	s.k.src = nil // drop the caller's container so a pooled ctx never pins it
 	if s.k.failed.Load() {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	return out, nil
+	return nil
+}
+
+// refill tops the LSB-first accumulator up to at least 57 bits, in one
+// unaligned 64-bit load when at least 8 source bytes remain; the byte
+// loop handles the tail. Both paths leave identical (acc, nacc, pos)
+// state.
+//
+// The kernels refill only when fewer than MaxCodeLen bits remain: every
+// probe, sub-table lookup and run then reads loaded bits (or the zero
+// padding past the end of src, exactly as an eager refill would), and
+// the load stays off the table-lookup chain for the next 3–5 probes.
+func refill(src []byte, pos int, acc uint64, nacc uint) (int, uint64, uint) {
+	if pos+8 <= len(src) {
+		v := binary.LittleEndian.Uint64(src[pos:])
+		n := (64 - nacc) >> 3
+		v &= uint64(1)<<(8*n) - 1 // 8n == 64 wraps the mask to ^0
+		return pos + int(n), acc | v<<nacc, nacc + 8*n
+	}
+	for nacc <= 56 && pos < len(src) {
+		acc |= uint64(src[pos]) << nacc
+		pos++
+		nacc += 8
+	}
+	return pos, acc, nacc
 }
 
 // decodeChunk decodes exactly len(dst) symbols from src. Each primary
@@ -736,22 +849,8 @@ func decodeChunk(src []byte, t *decodeTable, dst []uint16) error {
 	pos := 0
 	i := 0
 	for i < len(dst) {
-		// Refill the accumulator in one unaligned 64-bit load when at
-		// least 8 source bytes remain; the byte loop handles the tail.
-		// Both paths leave identical (acc, nacc, pos) state.
-		if nacc <= 56 && pos+8 <= len(src) {
-			v := binary.LittleEndian.Uint64(src[pos:])
-			n := (64 - nacc) >> 3
-			v &= uint64(1)<<(8*n) - 1 // 8n == 64 wraps the mask to ^0
-			acc |= v << nacc
-			pos += int(n)
-			nacc += 8 * n
-		} else {
-			for nacc <= 56 && pos < len(src) {
-				acc |= uint64(src[pos]) << nacc
-				pos++
-				nacc += 8
-			}
+		if nacc < MaxCodeLen {
+			pos, acc, nacc = refill(src, pos, acc, nacc)
 		}
 		e := t.primary[acc&(1<<tableBits-1)]
 		switch e >> kindShift {
@@ -788,6 +887,64 @@ func decodeChunk(src []byte, t *decodeTable, dst []uint16) error {
 		default:
 			return ErrCorrupt
 		}
+	}
+	return nil
+}
+
+// decodeChunkBytes is decodeChunk for byte output: it decodes exactly
+// len(dst) symbols from src, each of which must be <= 255. Each probe
+// first tries the byte multi-symbol table: when the run's total length
+// fits the loaded bits and at least maxRun output slots remain, one 8-byte
+// store emits the whole run. Otherwise it decodes a single symbol as
+// decodeChunk does — sub-table codes, symbols > 255 (which fail the
+// chunk), bits running out, and a chunk's last maxRun-1 symbols all take
+// this path — so it accepts and rejects exactly what decodeChunk followed
+// by a per-symbol <= 255 check does.
+//
+//cuszhi:hotpath
+func decodeChunkBytes(src []byte, t *decodeTable, dst []byte) error {
+	var acc uint64
+	var nacc uint
+	pos := 0
+	i := 0
+	last := len(dst) - maxRun // fast path while i <= last
+	bytes := t.bytes[: 1<<tableBits : 1<<tableBits]
+	info := t.info[: 1<<tableBits : 1<<tableBits]
+	for i < len(dst) {
+		if nacc < MaxCodeLen {
+			pos, acc, nacc = refill(src, pos, acc, nacc)
+		}
+		v := acc & (1<<tableBits - 1)
+		if in := uint(info[v]); in&0xff <= nacc && i <= last {
+			binary.LittleEndian.PutUint64(dst[i:], bytes[v])
+			i += int(in >> 8)
+			acc >>= in & 0xff
+			nacc -= in & 0xff
+			continue
+		}
+		e := t.primary[v]
+		var sym uint64
+		var l uint
+		switch e >> kindShift {
+		case kindSingle, kindPair:
+			sym, l = e&0xffff, uint(e>>32)&0x3f
+		case kindSub:
+			gbits := uint((e >> 32) & 0xf)
+			se := t.sub[(e&0xffffff)+(acc>>tableBits)&(1<<gbits-1)]
+			if se == 0 {
+				return ErrCorrupt
+			}
+			sym, l = uint64(se&0xffff), uint(se>>16)
+		default:
+			return ErrCorrupt
+		}
+		if l > nacc || sym > 255 {
+			return ErrCorrupt
+		}
+		dst[i] = byte(sym)
+		i++
+		acc >>= l
+		nacc -= l
 	}
 	return nil
 }
@@ -829,17 +986,19 @@ func DecodeBytes(dev *gpusim.Device, data []byte) ([]byte, error) {
 
 // DecodeBytesCtx is DecodeBytes with a reusable context. With a non-nil
 // ctx the returned slice is context scratch, valid until the next Reset.
+// It shares DecodeCtx's container parser and launch but decodes straight
+// into bytes through the byte multi-symbol table; a symbol above 255 is
+// ErrCorrupt.
 func DecodeBytesCtx(ctx *arena.Ctx, dev *gpusim.Device, data []byte) ([]byte, error) {
-	syms, err := DecodeCtx(ctx, dev, data)
+	s := scratchFor(ctx)
+	nSyms, chunk, err := s.parseContainer(data)
 	if err != nil {
 		return nil, err
 	}
-	out := ctx.Bytes(len(syms))
-	for i, s := range syms {
-		if s > 255 {
-			return nil, ErrCorrupt
-		}
-		out[i] = byte(s)
+	s.table.buildByteTable()
+	out := ctx.Bytes(nSyms)
+	if err := s.launchDecode(dev, data, chunk, nil, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

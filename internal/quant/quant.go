@@ -192,13 +192,16 @@ func (o *Outliers) SortedGet(pos int) (float32, bool) {
 // sequence. Codes from the anchor lattice come first, then each finer
 // interpolation level in coarse-to-fine order, matching §5.1.4 ("codes from
 // the larger interpolation strides appear first").
+//
+// The codec reorders with Gather and Scatter, which walk this order in
+// closed form; the materialized table is their reference.
 func LevelOrderPerm(dims []int, anchorStride int) []int32 {
 	return LevelOrderPermCtx(nil, dims, anchorStride)
 }
 
-// permMemo caches the last permutation computed through a context: shard
-// pipelines apply the same (dims, stride) permutation to every shard, so a
-// per-worker context turns the O(n) rebuild into a lookup.
+// permMemo caches the last permutation computed through a context, so a
+// caller applying the same (dims, stride) permutation to every shard
+// rebuilds it once per context.
 type permMemo struct {
 	nz, ny, nx, stride int
 	perm               []int32
@@ -208,6 +211,7 @@ var permAuxKey = arena.NewAuxKey()
 
 // LevelOrderPermCtx is LevelOrderPerm memoized on ctx: the returned slice
 // is owned by the context (do not modify) and stays valid across Resets.
+// It holds one int32 per point, so the codec itself uses Gather/Scatter.
 func LevelOrderPermCtx(ctx *arena.Ctx, dims []int, anchorStride int) []int32 {
 	nz, ny, nx := norm3(dims)
 	if ctx != nil {
@@ -244,9 +248,11 @@ func levelOrderPerm(nz, ny, nx, anchorStride int) []int32 {
 	return perm
 }
 
-// Apply gathers src into level order: dst[k] = src[perm[k]]. The kernel
-// runs 8-wide over pinned views of the sequential side; only the gather
-// loads stay bounds-checked (their indices are data-dependent).
+// Apply gathers src into level order through a permutation table:
+// dst[k] = src[perm[k]]. Gather does the same for LevelOrderPerm's table
+// without building it, with Apply as its reference. The kernel runs
+// 8-wide over pinned views of the sequential side; only the gather loads
+// stay bounds-checked (their indices are data-dependent).
 //
 //cuszhi:hotpath
 func Apply(dev *gpusim.Device, perm []int32, src, dst []uint8) {
@@ -299,6 +305,113 @@ func Invert(dev *gpusim.Device, perm []int32, src, dst []uint8) {
 			dst[p[k]] = s[k]
 		}
 	})
+}
+
+// Gather writes natural-order codes in Eq. 3 level order, exactly as
+// Apply(dev, LevelOrderPerm(dims, anchorStride), natural, ordered) does,
+// without the table: level l's sequence is its z-planes in turn, and each
+// plane's offset in it is closed-form, so one launch block per (level,
+// z-plane) copies strided rows straight across.
+func Gather(dev *gpusim.Device, dims []int, anchorStride int, natural, ordered []uint8) {
+	walkLevelOrder(dev, dims, anchorStride, natural, ordered, false)
+}
+
+// Scatter reverses Gather: it writes level-ordered codes back to natural
+// order, exactly as Invert with LevelOrderPerm's table does.
+func Scatter(dev *gpusim.Device, dims []int, anchorStride int, ordered, natural []uint8) {
+	walkLevelOrder(dev, dims, anchorStride, natural, ordered, true)
+}
+
+// levelPlanes sizes level l of the Eq. 3 order over an (nz, ny, nx) grid
+// with anchor stride 1<<L. Level l visits the z-planes z = j·2^l; on
+// planes with odd j, and on every plane of level L, it takes all points
+// on the 2^l lattice. On the other planes the 2^(l+1) lattice belongs to
+// coarser levels, so rows with y ≡ 0 mod 2^(l+1) take only their odd
+// multiples of 2^l.
+type levelPlanes struct {
+	planes       int // z-planes the level visits
+	fine, coarse int // points per odd-j plane and per even-j plane
+}
+
+// multiples counts the multiples of s in [0, n).
+func multiples(n, s int) int { return (n + s - 1) / s }
+
+func newLevelPlanes(nz, ny, nx, l, L int) levelPlanes {
+	step := 1 << uint(l)
+	rows, fullRow := multiples(ny, step), multiples(nx, step)
+	p := levelPlanes{planes: multiples(nz, step), fine: rows * fullRow}
+	p.coarse = p.fine
+	if l < L {
+		coarseRows, oddX := multiples(ny, 2*step), fullRow-multiples(nx, 2*step)
+		p.coarse = coarseRows*oddX + (rows-coarseRows)*fullRow
+	}
+	return p
+}
+
+// offset is plane j's first position within its level: planes 0, 2, 4, …
+// before it are coarse, planes 1, 3, … fine.
+func (p levelPlanes) offset(j int) int { return (j+1)/2*p.coarse + j/2*p.fine }
+
+// size is the level's point count.
+func (p levelPlanes) size() int { return p.offset(p.planes) }
+
+// walkLevelOrder copies between natural and level order, one launch block
+// per (level, z-plane): natural → ordered, or ordered → natural when
+// scatter is set. A block finds its level and run offset by summing the
+// level sizes before it, at most log2(anchorStride)+1 of them.
+//
+//cuszhi:hotpath
+func walkLevelOrder(dev *gpusim.Device, dims []int, anchorStride int, natural, ordered []uint8, scatter bool) {
+	nz, ny, nx := norm3(dims)
+	L := log2(anchorStride)
+	blocks := 0
+	for l := 0; l <= L; l++ {
+		blocks += multiples(nz, 1<<uint(l))
+	}
+	dev.Launch(blocks, func(b int) {
+		k, l := 0, L
+		p := newLevelPlanes(nz, ny, nx, l, L)
+		for b >= p.planes {
+			b -= p.planes
+			k += p.size()
+			l--
+			p = newLevelPlanes(nz, ny, nx, l, L)
+		}
+		copyLevelPlane(natural, ordered, k+p.offset(b), b<<uint(l), ny, nx, l, l < L && b%2 == 0, scatter)
+	})
+}
+
+// copyLevelPlane copies one z-plane of level l between natural order and
+// level order, where the plane's run starts at ordered[k]. On a coarse
+// plane, rows on the 2^(l+1) lattice hold only their odd multiples of 2^l.
+//
+//cuszhi:hotpath
+func copyLevelPlane(natural, ordered []uint8, k, z, ny, nx, l int, coarse, scatter bool) {
+	step := 1 << uint(l)
+	for y := 0; y < ny; y += step {
+		row := natural[(z*ny+y)*nx : (z*ny+y+1)*nx]
+		x0, xs := 0, step
+		if coarse && y%(2*step) == 0 {
+			x0, xs = step, 2*step
+		}
+		n := multiples(nx-x0, xs)
+		run := ordered[k : k+n : k+n]
+		k += n
+		switch {
+		case xs == 1 && scatter:
+			copy(row, run)
+		case xs == 1:
+			copy(run, row)
+		case scatter:
+			for i, x := 0, x0; i < n; i, x = i+1, x+xs {
+				row[x] = run[i]
+			}
+		default:
+			for i, x := 0, x0; i < n; i, x = i+1, x+xs {
+				run[i] = row[x]
+			}
+		}
+	}
 }
 
 func norm3(dims []int) (nz, ny, nx int) {

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sort"
@@ -255,5 +256,52 @@ func TestQuantizeRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGatherScatterMatchPerm pins the closed-form level-order walk to the
+// LevelOrderPerm table in both directions: Gather equals Apply and Scatter
+// equals Invert, over rank 1–4 dims (including sizes that are not
+// multiples of the stride and degenerate unit dims), strides 1–16, and 1
+// and 4 workers. Scatter runs over two different prefills, so a position
+// it failed to write would show.
+func TestGatherScatterMatchPerm(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	devs := []*gpusim.Device{gpusim.New(1), gpusim.New(4)}
+	for _, dims := range [][]int{
+		{1}, {7}, {100}, {33},
+		{1, 17}, {20, 31}, {16, 16}, {9, 1},
+		{1, 1, 1}, {5, 3, 2}, {16, 16, 16}, {17, 17, 17}, {33, 9, 9}, {24, 19, 31}, {40, 12, 12},
+		{3, 5, 6, 7}, {2, 17, 9, 10}, {12, 4, 8, 8},
+	} {
+		n := 1
+		for _, d := range dims {
+			n *= d
+		}
+		for _, stride := range []int{1, 2, 4, 8, 16} {
+			perm := LevelOrderPerm(dims, stride)
+			natural := make([]uint8, n)
+			rng.Read(natural)
+			want := make([]uint8, n)
+			Apply(devs[0], perm, natural, want)
+			ordered := make([]uint8, n)
+			rng.Read(ordered)
+			wantBack := make([]uint8, n)
+			Invert(devs[0], perm, ordered, wantBack)
+			for _, d := range devs {
+				got := make([]uint8, n)
+				Gather(d, dims, stride, natural, got)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("dims %v stride %d workers %d: Gather differs from Apply", dims, stride, d.Workers())
+				}
+				for _, fill := range []uint8{0, 0xff} {
+					back := bytes.Repeat([]byte{fill}, n)
+					Scatter(d, dims, stride, ordered, back)
+					if !bytes.Equal(back, wantBack) {
+						t.Fatalf("dims %v stride %d workers %d: Scatter differs from Invert", dims, stride, d.Workers())
+					}
+				}
+			}
+		}
 	}
 }
