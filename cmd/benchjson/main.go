@@ -293,7 +293,8 @@ func suite(quick bool) ([]bench, error) {
 	// Per-kernel microbenchmarks over the batched hot loops, isolated from
 	// container framing and entropy stages: the Lorenzo predict/quantize
 	// sweep, one full interpolation-level pass set, and the zigzag/bitplane
-	// packing pipeline (TCMS1-BIT1-RRE1) on quant-like bytes.
+	// packing pipeline (TCMS1-BIT1-RRE1) on quant-like bytes, plus the
+	// interpolation reconstruction that decodes the level pass's output.
 	kDims := []int{96, 96, 96}
 	if quick {
 		kDims = []int{48, 48, 48}
@@ -307,6 +308,12 @@ func suite(quick bool) ([]bench, error) {
 	lzGrid := lorenzo.NewGrid(kDims)
 	ipGrid := interp.NewGrid(kDims)
 	ipCfg := interp.HiConfig()
+	// The reconstruct entry decodes an owned Result, which kCtx.Reset
+	// cannot clobber.
+	ipRes, err := interp.Compress(dev1, kField.Data, ipGrid, ipCfg, kEB)
+	if err != nil {
+		return nil, err
+	}
 	bpData := quantLike(len(kField.Data), 9)
 	bpPipe := lccodec.HiTP()
 
@@ -323,6 +330,14 @@ func suite(quick bool) ([]bench, error) {
 			for i := 0; i < b.N; i++ {
 				kCtx.Reset()
 				if _, err := interp.CompressCtx(kCtx, dev1, kField.Data, ipGrid, ipCfg, kEB); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"kernel/interp-reconstruct", int64(4 * len(kField.Data)), 0, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kCtx.Reset()
+				if _, err := interp.DecompressCtx(kCtx, dev1, ipRes, ipGrid, ipCfg, kEB); err != nil {
 					b.Fatal(err)
 				}
 			}

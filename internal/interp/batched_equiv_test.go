@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -72,9 +73,18 @@ func compressScalarRef(data []float32, g Grid, cfg Config, eb float64) *Result {
 // decompressScalarRef is compressScalarRef's inverse: scalar predict and
 // quant.Dequantize per point.
 func decompressScalarRef(res *Result, g Grid, cfg Config, eb float64) []float32 {
+	out, _ := decompressScalarOracle(res, g, cfg, eb)
+	return out
+}
+
+// decompressScalarOracle is decompressScalarRef with the whole decode's
+// verdict: an error wrapping quant.ErrCorrupt when a point some block
+// reconstructs carries an outlier code whose value res.Outliers lacks.
+func decompressScalarOracle(res *Result, g Grid, cfg Config, eb float64) ([]float32, error) {
 	Batched = false
 	defer func() { Batched = true }()
 	out := make([]float32, g.Len())
+	missing := false
 	nbz, nby, nbx := blockGrid(g, &cfg)
 	for bi := 0; bi < nbz*nby*nbx; bi++ {
 		bk := newTestBlock(g, &cfg, bi, res.Anchors)
@@ -87,7 +97,9 @@ func decompressScalarRef(res *Result, g Grid, cfg Config, eb float64) []float32 
 			for i := range preds {
 				idx := g.flat(z, y, x0+i*xstep)
 				if c := res.Codes[idx]; c == quant.OutlierCode {
-					preds[i], _ = res.Outliers.SortedGet(idx)
+					var ok bool
+					preds[i], ok = res.Outliers.SortedGet(idx)
+					missing = missing || !ok
 				} else {
 					preds[i] = quant.Dequantize(c, preds[i], 2*eb)
 				}
@@ -97,7 +109,10 @@ func decompressScalarRef(res *Result, g Grid, cfg Config, eb float64) []float32 
 			}
 		})
 	}
-	return out
+	if missing {
+		return out, fmt.Errorf("scalar oracle: outlier code with no value: %w", quant.ErrCorrupt)
+	}
+	return out, nil
 }
 
 // equivConfigs are the predictor configs the equivalence property runs:

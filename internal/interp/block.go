@@ -3,6 +3,8 @@ package interp
 import (
 	"math"
 	"slices"
+
+	"repro/internal/quant"
 )
 
 // This file contains the per-block interpolation engine shared by
@@ -10,10 +12,15 @@ import (
 // coordinate ranges [lo, hi] per dimension (neighbouring blocks share their
 // boundary faces, like the CUDA shared-memory chunks of Fig. 1/3), keeps a
 // local reconstruction buffer, and walks the levels coarse-to-fine. Each
-// stride-row of new points is predicted as a whole and handed to a row
-// sink, which decides what happens to it (quantize-and-store for
-// compression, apply-codes for decompression, accumulate-error for
-// tuning).
+// stride-row of new points is predicted as a whole: predictRow evaluates
+// the row's constant direction formulas over its interior, and the at most
+// three halo points at the x ends take term sets of their own, built with
+// the row's and cached with them. Compression and tuning then hand the row
+// to a row sink (quantize-and-store, accumulate-error). Decompression
+// keeps the block's codes in a tile laid out like the buffer, writes each
+// row's dequantized values straight into the buffer in one fused pass,
+// and copies the owned rows out once the block is done, the way cuSZ-Hi's
+// decoder reconstructs a block in shared memory before storing it.
 
 // Batched selects the stride-row prediction kernel (the default). The
 // per-point scalar predict path stays selectable so the equivalence
@@ -83,11 +90,25 @@ type block struct {
 	ohi     [3]int // exclusive upper owner bounds
 	ext     [3]int // local extents (hi-lo+1)
 	buf     []float32
-	preds   []float32  // one stride-row's predictions, then reconstructions
-	codes   []uint8    // one stride-row's quant codes (compression)
-	terms   [3]rowTerm // the current row's contributing directions
-	anchors []float32  // dense global anchor grid
-	az      [3]int     // anchor grid dims
+	preds   []float32 // one stride-row's predictions, then reconstructions
+	codes   []uint8   // one stride-row's quant codes (compression)
+	anchors []float32 // dense global anchor grid
+	az      [3]int    // anchor grid dims
+
+	// row holds the terms of the current row's interior; halo[h] those of
+	// its halo point haloAt[h] (a row index), for the first nHalo entries.
+	row    termSet
+	halo   [3]termSet
+	haloAt [3]int
+	nHalo  int
+
+	// Decompression state (see decode): the block's codes laid out like
+	// buf, the code-to-offset table, the outlier list, and whether an
+	// outlier code had no value in it.
+	tile []uint8
+	deq  *[256]float64
+	outl *quant.Outliers
+	miss bool
 }
 
 // blockGrid computes the number of blocks per dimension.
@@ -334,46 +355,54 @@ type rowTerm struct {
 	kind stencil
 }
 
+// termSet is a prediction's contributing directions, in phase order, and
+// its accumulator's start value.
+type termSet struct {
+	init float32
+	n    int
+	t    [3]rowTerm
+}
+
+func (ts *termSet) terms() []rowTerm { return ts.t[:ts.n] }
+
 // negZero starts predict's general-path accumulation: -0 + v == v for
 // every v, so adding the first term to it is the same as assigning it.
 var negZero = math.Float32frombits(1 << 31)
 
-// rowTerms returns the directions that predict averages along the row
-// segment at (z, y): each direction's formula follows from its neighbour
-// availability (x, when interpolated, has all its neighbours inside the
-// block along the segment), and only the directions of the highest order
-// contribute, in phase order. It also returns the accumulator's start
-// value: +0 when every direction is full cubic (predict's interior fast
-// path), else -0.
-func (b *block) rowTerms(z, y, s int, dims []int, spline Spline) (float32, []rowTerm) {
+// rowTerms sets ts to the directions that predict averages at the point
+// (z, y, x): each direction's formula follows from its neighbour
+// availability, and only the directions of the highest order contribute,
+// in phase order. The start value is +0 when every direction is full
+// cubic (predict's interior fast path), else -0. Along a row only the x
+// direction's availability varies, so the terms built for one point of
+// the row interior [k0, k1) hold for all of it; each halo point gets its
+// own.
+func (b *block) rowTerms(ts *termSet, z, y, x, s int, dims []int, spline Spline) {
 	st := b.strides()
-	gc := [3]int{z, y, 0}
+	gc := [3]int{z, y, x}
 	var kinds [3]stencil
 	var orders [3]int
 	best := -1
 	allCubic := true
 	for k, d := range dims {
-		ha, hp, hq, hd := true, true, true, true
-		if d != 2 {
-			c := gc[d]
-			ha, hp = c-3*s >= b.lo[d], c-s >= b.lo[d]
-			hq, hd = c+s <= b.hi[d], c+3*s <= b.hi[d]
-		}
+		c := gc[d]
+		ha, hp := c-3*s >= b.lo[d], c-s >= b.lo[d]
+		hq, hd := c+s <= b.hi[d], c+3*s <= b.hi[d]
 		kinds[k], orders[k] = stencilFor(ha, hp, hq, hd, spline)
 		best = max(best, orders[k])
 		allCubic = allCubic && kinds[k] == stCubic
 	}
-	nt := 0
+	ts.n = 0
 	for k, d := range dims {
 		if orders[k] == best {
-			b.terms[nt] = rowTerm{off: s * st[d], kind: kinds[k]}
-			nt++
+			ts.t[ts.n] = rowTerm{off: s * st[d], kind: kinds[k]}
+			ts.n++
 		}
 	}
+	ts.init = negZero
 	if allCubic {
-		return 0, b.terms[:nt]
+		ts.init = 0
 	}
-	return negZero, b.terms[:nt]
 }
 
 // predictRow fills preds with the predictions of a stride-row segment:
@@ -449,6 +478,47 @@ func (b *block) predictRow(preds []float32, idx0, xstep int, init float32, terms
 	}
 }
 
+// predictHalo fills the halo entries of a row's preds, where point i sits
+// at buffer index idx0 + i*xstep: each from its own cached term set, with
+// predictRow's float op sequence, so the results are again predict's bits.
+//
+//cuszhi:hotpath
+func (b *block) predictHalo(preds []float32, idx0, xstep int) {
+	buf := b.buf
+	for h, i := range b.haloAt[:b.nHalo] {
+		ts := &b.halo[h]
+		j := idx0 + i*xstep
+		v := ts.init
+		for _, t := range ts.terms() {
+			o1, o3 := t.off, 3*t.off
+			switch t.kind {
+			case stCubic:
+				v += (-buf[j-o3] + 9*buf[j-o1] + 9*buf[j+o1] - buf[j+o3]) / 16
+			case stQuadA:
+				v += (-buf[j-o3] + 6*buf[j-o1] + 3*buf[j+o1]) / 8
+			case stQuadD:
+				v += (3*buf[j-o1] + 6*buf[j+o1] - buf[j+o3]) / 8
+			case stLinear:
+				v += (buf[j-o1] + buf[j+o1]) / 2
+			case stExtrapP:
+				v += (3*buf[j-o1] - buf[j-o3]) / 2
+			case stCopyP:
+				v += buf[j-o1]
+			case stExtrapQ:
+				v += (3*buf[j+o1] - buf[j+o3]) / 2
+			case stCopyQ:
+				v += buf[j+o1]
+			default: // stNone
+				v += 0
+			}
+		}
+		if ts.n > 1 {
+			v /= float32(ts.n)
+		}
+		preds[i] = v
+	}
+}
+
 // rowSink consumes one stride-row of predicted points. Point i sits at
 // global coords (z, y, x0+i*xstep) with prediction preds[i]. The block owns
 // exactly the first nOwn points: ownership along x is x < ohi[2], so owned
@@ -457,10 +527,11 @@ func (b *block) predictRow(preds []float32, idx0, xstep int, init float32, terms
 type rowSink func(z, y, x0, xstep int, preds []float32, nOwn int)
 
 // runLevel walks one interpolation level (stride s of the new points) with
-// the given level config, handing every stride-row of new points to sink
-// in deterministic phase order. No point of a phase is a neighbour of
-// another point of the same phase, so a whole row is predicted before any
-// of it is reconstructed.
+// the given level config in deterministic phase order. No point of a phase
+// is a neighbour of another point of the same phase, so a whole row is
+// predicted before any of it is reconstructed. Each row's predictions go
+// to sink, or, with a nil sink, through dequantRow's fused
+// dequantize-and-store pass over the block's code tile.
 func (b *block) runLevel(s int, lc LevelConfig, sink rowSink) {
 	st := b.strides()
 	reach := s // how far a direction's neighbours lie from the point
@@ -495,32 +566,39 @@ func (b *block) runLevel(s int, lc LevelConfig, sink rowSink) {
 		// Points [k0, k1) of each row run through predictRow: along them the
 		// x direction, when interpolated, has all its neighbours inside the
 		// block, so every direction's formula is constant. The halo points
-		// outside, and every point on the scalar reference path, go through
-		// predict.
+		// outside lie within reach of a block x end: k0 ≤ 1 and n−k1 ≤ 2
+		// (x0 = lo+s and xstep = 2s), so at most three.
 		k0, k1 := 0, n
-		if !Batched {
-			k1 = 0
-		} else if slices.Contains(ph.dims, 2) {
+		if slices.Contains(ph.dims, 2) {
 			k0 = min(n, (b.lo[2]+reach-x0+xstep-1)/xstep)
 			k1 = 0
 			if last := b.hi[2] - reach; last >= x0 {
 				k1 = (last-x0)/xstep + 1
 			}
+			k1 = max(k1, k0)
 		}
-		k1 = max(k1, k0)
+		b.nHalo = 0
+		for i := 0; i < n; i++ {
+			if i < k0 || i >= k1 {
+				b.haloAt[b.nHalo] = i
+				b.nHalo++
+			}
+		}
 		// A row's terms depend on z only through a z direction and on y only
-		// through a y direction, so they are recomputed only when the
-		// coordinates they depend on change.
+		// through a y direction, so they are rebuilt, halo included, only
+		// when the coordinates they depend on change.
 		zDep, yDep := slices.Contains(ph.dims, 0), slices.Contains(ph.dims, 1)
 		tz, ty := -1, -1 // the coordinates the current terms were built for
-		var init float32
-		var terms []rowTerm
 		preds := b.preds[:n]
 		for z := start[0]; z <= b.hi[0]; z += step[0] {
 			zOwn := z < b.ohi[0]
 			for y := start[1]; y <= b.hi[1]; y += step[1] {
 				l0 := (z-b.lo[0])*st[0] + (y-b.lo[1])*st[1] + (x0 - b.lo[2])
-				if k0 < k1 {
+				if !Batched {
+					for i := range preds {
+						preds[i] = b.predict(z, y, x0+i*xstep, l0+i*xstep, s, ph.dims, lc.Spline)
+					}
+				} else {
 					kz, ky := 0, 0
 					if zDep {
 						kz = z
@@ -529,16 +607,26 @@ func (b *block) runLevel(s int, lc LevelConfig, sink rowSink) {
 						ky = y
 					}
 					if kz != tz || ky != ty {
-						init, terms = b.rowTerms(z, y, s, ph.dims, lc.Spline)
+						if k0 < k1 {
+							b.rowTerms(&b.row, z, y, x0+k0*xstep, s, ph.dims, lc.Spline)
+						}
+						for h, i := range b.haloAt[:b.nHalo] {
+							b.rowTerms(&b.halo[h], z, y, x0+i*xstep, s, ph.dims, lc.Spline)
+						}
 						tz, ty = kz, ky
 					}
-					b.predictRow(preds[k0:k1], l0+k0*xstep, xstep, init, terms)
+					if k0 < k1 {
+						b.predictRow(preds[k0:k1], l0+k0*xstep, xstep, b.row.init, b.row.terms())
+					}
+					if b.nHalo > 0 {
+						b.predictHalo(preds, l0, xstep)
+					}
 				}
-				for i := 0; i < k0; i++ {
-					preds[i] = b.predict(z, y, x0+i*xstep, l0+i*xstep, s, ph.dims, lc.Spline)
-				}
-				for i := k1; i < n; i++ {
-					preds[i] = b.predict(z, y, x0+i*xstep, l0+i*xstep, s, ph.dims, lc.Spline)
+				if sink == nil {
+					if b.dequantRow(preds, l0, xstep) {
+						b.fixOutliers(n, l0, xstep, z, y, x0)
+					}
+					continue
 				}
 				nOwn := 0
 				if zOwn && y < b.ohi[1] {
@@ -549,6 +637,76 @@ func (b *block) runLevel(s int, lc LevelConfig, sink rowSink) {
 					b.buf[l0+i*xstep] = v
 				}
 			}
+		}
+	}
+}
+
+// dequantRow is decompression's row step: point i's code sits at
+// tile[l0+i*xstep], and float32(preds[i] + deq[code]) — quant.Dequantize's
+// float op sequence, so the same bits — goes straight to buf there.
+// Outlier codes are rare, so it only reports whether the row has one;
+// fixOutliers then overwrites those points. It makes no calls, so nothing
+// in the loop spills.
+//
+//cuszhi:hotpath
+func (b *block) dequantRow(preds []float32, l0, xstep int) bool {
+	buf, tile, deq := b.buf, b.tile, b.deq
+	outlier := false
+	for i, p := range preds {
+		j := l0 + i*xstep
+		c := tile[j]
+		if c == quant.OutlierCode {
+			outlier = true
+		}
+		buf[j] = float32(float64(p) + deq[c])
+	}
+	return outlier
+}
+
+// fixOutliers gives the outlier-coded points among a row's n points their
+// values from the outlier list, at the points' global coords
+// (z, y, x0+i*xstep). A missing value sets b.miss and reconstructs as 0.
+func (b *block) fixOutliers(n, l0, xstep, z, y, x0 int) {
+	for i := 0; i < n; i++ {
+		j := l0 + i*xstep
+		if b.tile[j] != quant.OutlierCode {
+			continue
+		}
+		v, ok := b.outl.SortedGet(b.g.flat(z, y, x0+i*xstep))
+		b.miss = b.miss || !ok
+		b.buf[j] = v
+	}
+}
+
+// decode reconstructs the whole block from codes (the field's, in natural
+// layout), deq (deq[c] = (c − ZeroCode)·2eb) and the outlier list. Its
+// anchors must already be loaded. b.miss reports an outlier code with no
+// value.
+func (b *block) decode(codes []uint8, deq *[256]float64, outl *quant.Outliers) {
+	need := len(b.buf)
+	if cap(b.tile) < need {
+		b.tile = make([]uint8, need)
+	}
+	b.tile = b.tile[:need]
+	w := b.ext[2]
+	for z := b.lo[0]; z <= b.hi[0]; z++ {
+		for y := b.lo[1]; y <= b.hi[1]; y++ {
+			copy(b.tile[b.local(z, y, b.lo[2]):][:w], codes[b.g.flat(z, y, b.lo[2]):])
+		}
+	}
+	b.deq, b.outl, b.miss = deq, outl, false
+	b.run(nil)
+	b.deq, b.outl = nil, nil // a pooled block keeps no caller memory alive
+}
+
+// storeOwned copies the block's owned points in z-planes [z0, z1), row by
+// row, into out, which holds those planes of the field.
+func (b *block) storeOwned(out []float32, z0, z1 int) {
+	g := b.g
+	w := b.ohi[2] - b.lo[2]
+	for z := max(b.lo[0], z0); z < min(b.ohi[0], z1); z++ {
+		for y := b.lo[1]; y < b.ohi[1]; y++ {
+			copy(out[g.flat(z-z0, y, b.lo[2]):][:w], b.buf[b.local(z, y, b.lo[2]):])
 		}
 	}
 }

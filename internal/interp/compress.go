@@ -35,6 +35,9 @@ var (
 
 type iscratch struct {
 	freq []int64
+	// deq maps a decoded code c to its offset from the prediction,
+	// (c − ZeroCode)·2eb: the product quant.Dequantize forms.
+	deq [256]float64
 	// missing records that decompression met an outlier code whose
 	// position the outlier list lacks. Valid streams never have one, so it
 	// marks the input corrupt.
@@ -231,6 +234,9 @@ func DecompressPlanesCtx(ctx *arena.Ctx, dev *gpusim.Device, res *Result, g Grid
 	bz1 := min((z1-1)/cfg.BlockZ, nbz-1) + 1
 	sc := scratchFor(ctx)
 	sc.missing.Store(false)
+	for c := range sc.deq {
+		sc.deq[c] = float64(c-quant.ZeroCode) * twoEB
+	}
 	dev.Launch((bz1-bz0)*nby*nbx, func(bi int) {
 		bk := bufPool.Get().(*block)
 		defer bufPool.Put(bk)
@@ -240,34 +246,12 @@ func DecompressPlanesCtx(ctx *arena.Ctx, dev *gpusim.Device, res *Result, g Grid
 		bk.initBlock(g, &cfg, bz, by, bx)
 		bk.anchors = res.Anchors
 		bk.az = [3]int{azd, ayd, axd}
-		bk.loadAnchors(func(z, y, x int, v float32) {
-			if bk.owns(z, y, x) && z >= z0 && z < z1 {
-				out[g.flat(z, y, x)-z0*plane] = v
-			}
-		})
-		bk.run(func(z, y, x0, xstep int, preds []float32, nOwn int) {
-			g0 := g.flat(z, y, x0)
-			codes := res.Codes[g0:]
-			for i := range preds {
-				c := codes[i*xstep]
-				if c != quant.OutlierCode {
-					preds[i] = quant.Dequantize(c, preds[i], twoEB)
-					continue
-				}
-				v, ok := res.Outliers.SortedGet(g0 + i*xstep)
-				if !ok {
-					sc.missing.Store(true)
-				}
-				preds[i] = v
-			}
-			if z < z0 || z >= z1 {
-				return
-			}
-			o0 := g0 - z0*plane
-			for i, v := range preds[:nOwn] {
-				out[o0+i*xstep] = v
-			}
-		})
+		bk.loadAnchors(nil)
+		bk.decode(res.Codes, &sc.deq, res.Outliers)
+		if bk.miss {
+			sc.missing.Store(true)
+		}
+		bk.storeOwned(out, z0, z1)
 	})
 	// Skipped blocks still owe the whole decode's verdict.
 	partial := bz0 > 0 || bz1 < nbz

@@ -55,12 +55,17 @@ func Dequantize(code uint8, pred float32, twoEB float64) float32 {
 // outlier). Every point's code, reconstruction and outlier flag are those
 // of Quantize, which stays the reference.
 //
-// Rounding is the branchless t + trunc(2(x-t)) with t = trunc(x): x-t is
-// exact for every finite x, so this rounds half away from zero like
-// math.Round, but it compiles to ROUNDSD on amd64 and keeps the loop
-// call-free. It differs from math.Round only at x = -0 (it gives +0) and
-// at ±Inf (NaN); neither changes the code, the reconstruction or the
-// outlier flag. The bound check is two compares instead of math.Abs.
+// Rounding is t + trunc(2(x-t)) with t = trunc(x): x-t is exact for every
+// finite x, so this rounds half away from zero like math.Round. It differs
+// from math.Round only at x = -0 (it gives +0) and at ±Inf (NaN); neither
+// changes the code, the reconstruction or the outlier flag. The bound
+// check is two compares instead of math.Abs. The loop is not call-free:
+// math.Trunc is a bare ROUNDSD only under GOAMD64=v2 or later. Under the
+// default v1 each use tests runtime.x86HasSSE41 and keeps a CALL
+// math.Trunc fallback, so i, j, v, p and x spill on every iteration.
+// Truncating through an integer conversion avoids the call but loses the
+// sign of a zero quotient, which Quantize keeps; restoring it (by
+// math.Copysign or the sign bit) measured no faster.
 //
 //cuszhi:hotpath
 func QuantizeRow(preds []float32, codes []uint8, vals []float32, step int, twoEB float64) {
