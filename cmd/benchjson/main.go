@@ -126,7 +126,12 @@ func suite(quick bool) ([]bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	skewEnc, err := huffman.EncodeBytes(dev, skewedBytes(hfN, 3))
+	skewData := skewedBytes(hfN, 3)
+	skewFreq := make([]int64, 256)
+	for _, c := range skewData {
+		skewFreq[c]++
+	}
+	skewEnc, err := huffman.EncodeBytes(dev, skewData)
 	if err != nil {
 		return nil, err
 	}
@@ -418,6 +423,15 @@ func suite(quick bool) ([]bench, error) {
 		{"huffman/decode-bytes", int64(hfN), 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := huffman.DecodeBytes(dev, hfEnc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"huffman/encode-bytes-skewed", int64(hfN), 0, func(b *testing.B) {
+			ctx := arena.NewCtx()
+			for i := 0; i < b.N; i++ {
+				ctx.Reset()
+				if _, err := huffman.EncodeBytesCtx(ctx, dev, skewData, skewFreq); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -57,6 +57,24 @@ func BenchmarkDecodeBytes(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeBytesSkewed measures the encode kernel on the zero-heavy
+// stream of BenchmarkDecodeBytesSkewed, with the histogram supplied as
+// hi-cr's quantizer supplies it, through a warm context, as in a shard
+// worker.
+func BenchmarkEncodeBytesSkewed(b *testing.B) {
+	data := skewedBytes(1<<22, 3)
+	freq := histogram(data, 256)
+	ctx := arena.NewCtx()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx.Reset()
+		if _, err := EncodeBytesCtx(ctx, dev, data, freq); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDecodeBytesSkewed measures the byte kernel on a zero-heavy
 // stream, where most table probes resolve a full run of codes: the regime
 // of hi-cr's entropy decode. The context is warm, as in a shard worker.

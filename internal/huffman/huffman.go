@@ -28,10 +28,19 @@
 // last 7 symbols, so it accepts and rejects exactly the streams the
 // one-symbol decoder does.
 //
+// Encoding, of byte and uint16 streams alike, runs one chunk kernel over
+// a per-call table of packed (code, length) entries indexed by symbol.
+// Three codes at a time go into a register-held 64-bit accumulator and
+// out in one unaligned 8-byte store; a symbol without a code sets a flag
+// bit the kernel checks once per chunk, and the output's capacity is
+// checked once per block of symbols. Byte streams are read as bytes,
+// never widened.
+//
 // The *Ctx entry points draw every working buffer (histograms, tree
-// scratch, per-chunk bit writers, decode tables, outputs) from a reusable
-// arena.Ctx, so steady-state encode/decode performs near-zero heap
-// allocations; the plain entry points are thin nil-ctx wrappers.
+// scratch, the encode table, per-chunk code buffers, decode tables,
+// outputs) from a reusable arena.Ctx, so steady-state encode/decode
+// performs near-zero heap allocations; the plain entry points are thin
+// nil-ctx wrappers.
 package huffman
 
 import (
@@ -95,13 +104,15 @@ type scratch struct {
 	stack    []treeFrame
 
 	table decodeTable
+	enc   *encTable
+	encHi int // entries at or above encHi hold encBad
 
 	// Kernel parameter block + prebuilt chunk jobs: the closures read
 	// their inputs from k, so one closure allocation per context serves
 	// every launch (see internal/arena).
 	k struct {
 		symbols []uint16
-		codes   []code
+		bytes   []byte
 		src     []byte
 		out     []uint16
 		out8    []byte
@@ -531,6 +542,144 @@ func parseLengthsRLE(p []byte, alphabet int, dst []uint8) ([]uint8, int, error) 
 // ---------------------------------------------------------------------------
 // Encoding.
 
+// Packed encode-table entry (uint32): the code's bit-reversed bits in
+// 0..15 and its length in 16..19. A symbol that has no code, because its
+// length is 0 or it lies outside the alphabet, holds encBad instead: no
+// bits, length 0, and a flag bit the kernel ORs across a chunk and checks
+// once at its end.
+const (
+	encLenShift = 16
+	encBad      = 1 << 31
+
+	// encGroup codes go into the accumulator per 8-byte store: three
+	// 15-bit codes on top of fewer than 8 pending bits fit in 64.
+	encGroup = 3
+	// encBlock is the number of symbols encodeChunk codes per capacity
+	// check, a multiple of encGroup.
+	encBlock = 64 * encGroup
+	// encBlockBytes bounds what one block writes: its codes at MaxCodeLen
+	// bits each, plus the 8-byte store that may start at its last byte.
+	encBlockBytes = encBlock*MaxCodeLen/8 + 8
+)
+
+// encTable is the per-call encode table, indexed by symbol. It spans the
+// whole uint16 range, so a symbol stream of either width indexes it with
+// no bounds check and an out-of-alphabet symbol reads encBad.
+type encTable [1 << 16]uint32
+
+// fillEncTable packs codes into s.enc, keeping the invariant that every
+// entry at or above s.encHi is encBad.
+func (s *scratch) fillEncTable(codes []code) {
+	if s.enc == nil {
+		s.enc = new(encTable)
+		for i := range s.enc {
+			s.enc[i] = encBad
+		}
+	}
+	for sym, cd := range codes {
+		e := uint32(encBad)
+		if cd.len != 0 {
+			e = uint32(cd.bits) | uint32(cd.len)<<encLenShift
+		}
+		s.enc[sym] = e
+	}
+	for sym := len(codes); sym < s.encHi; sym++ {
+		s.enc[sym] = encBad
+	}
+	s.encHi = len(codes)
+}
+
+// encodeChunk appends the codes of syms to buf at bit offset 8*pos+nacc,
+// where acc holds the nacc < 8 pending bits that buf[pos] also holds. It
+// checks buf's capacity once per block of encBlock symbols (and once for
+// the last, shorter block); when a block's worst case no longer fits, it
+// returns the symbols it has not coded, for the caller to grow buf and
+// resume. Full blocks go through encodeBlock; the last block stores
+// after every code. bad is the OR of every table entry used, so
+// bad&encBad reports a symbol without a code.
+//
+//cuszhi:hotpath
+func encodeChunk[S byte | uint16](syms []S, t *encTable, buf []byte, pos int, acc uint64, nacc uint) (rest []S, _ int, _ uint64, _ uint, bad uint32) {
+	for len(syms) >= encBlock && pos+encBlockBytes <= len(buf) {
+		var o uint
+		o, acc, nacc, bad = encodeBlock((*[encBlock]S)(syms), t, (*[encBlockBytes]byte)(buf[pos:]), acc, nacc, bad)
+		syms = syms[encBlock:]
+		pos += int(o)
+	}
+	if len(syms) < encBlock && pos+encBlockBytes <= len(buf) {
+		for _, sym := range syms {
+			e := t[sym]
+			bad |= e
+			acc |= uint64(e&0xffff) << (nacc & 63)
+			nacc += uint(e>>encLenShift) & 0xf
+			binary.LittleEndian.PutUint64(buf[pos:], acc)
+			pos += int(nacc >> 3)
+			acc >>= nacc & 56
+			nacc &= 7
+		}
+		syms = syms[len(syms):]
+	}
+	return syms, pos, acc, nacc, bad
+}
+
+// encodeBlock codes one full block into out, which starts at the byte
+// holding the nacc < 8 pending bits of acc, and returns how many whole
+// bytes it wrote. Each group of encGroup codes enters the register
+// accumulator and leaves in one unaligned 8-byte store, after which the
+// offset advances by the whole bytes written. The shift counts are masked
+// to 6 bits, which changes nothing (nacc stays below 64) but spares each
+// shift Go's count >= 64 handling; blk and out are array pointers, so
+// only the store's offset is bounds-checked, against a constant. It is a
+// function of its own so that its loop has the registers to itself.
+//
+//cuszhi:hotpath
+func encodeBlock[S byte | uint16](blk *[encBlock]S, t *encTable, out *[encBlockBytes]byte, acc uint64, nacc uint, bad uint32) (o uint, _ uint64, _ uint, _ uint32) {
+	for j := 0; j < encBlock-2; j += encGroup {
+		e := t[blk[j]]
+		bad |= e
+		acc |= uint64(e&0xffff) << (nacc & 63)
+		nacc += uint(e>>encLenShift) & 0xf
+		e = t[blk[j+1]]
+		bad |= e
+		acc |= uint64(e&0xffff) << (nacc & 63)
+		nacc += uint(e>>encLenShift) & 0xf
+		e = t[blk[j+2]]
+		bad |= e
+		acc |= uint64(e&0xffff) << (nacc & 63)
+		nacc += uint(e>>encLenShift) & 0xf
+		binary.LittleEndian.PutUint64(out[o:o+8], acc)
+		o += nacc >> 3
+		acc >>= nacc & 56
+		nacc &= 7
+	}
+	return o, acc, nacc, bad
+}
+
+// encodeChunkBuf codes syms into buf's storage through encodeChunk,
+// doubling buf whenever a block may not fit, and returns the chunk's
+// bytes: the bit stream padded with zero bits to a whole byte. The grown
+// buffer is the returned slice, so a caller that keeps it reaches a
+// steady state with no growth. bad reports a symbol without a code.
+func encodeChunkBuf[S byte | uint16](syms []S, t *encTable, buf []byte) (_ []byte, bad uint32) {
+	buf = buf[:cap(buf)]
+	pos, acc, nacc := 0, uint64(0), uint(0)
+	for {
+		var b uint32
+		syms, pos, acc, nacc, b = encodeChunk(syms, t, buf, pos, acc, nacc)
+		bad |= b
+		if len(syms) == 0 {
+			break
+		}
+		grown := make([]byte, 2*len(buf)+encBlockBytes)
+		copy(grown, buf[:pos]) // buf[pos]'s pending bits are still in acc
+		buf = grown
+	}
+	if nacc > 0 {
+		pos++
+	}
+	return buf[:pos], bad
+}
+
 // Encode compresses symbols drawn from [0, alphabet) into a self-contained
 // container. Chunks are encoded in parallel on dev.
 func Encode(dev *gpusim.Device, symbols []uint16, alphabet int) ([]byte, error) {
@@ -556,89 +705,100 @@ func EncodeCtx(ctx *arena.Ctx, dev *gpusim.Device, symbols []uint16, alphabet in
 			}
 			freq[sym]++
 		}
-	} else if len(freq) != alphabet {
-		return nil, fmt.Errorf("huffman: histogram length %d != alphabet %d", len(freq), alphabet)
-	} else {
-		// A caller-supplied histogram replaces the per-symbol range check
-		// of the counting sweep, so verify the cheap invariant that holds
-		// for any exact histogram: counts are non-negative and sum to the
-		// stream length. (Symbols must still lie in [0, alphabet) — codes
-		// are indexed by symbol during encoding.)
-		var sum int64
-		for _, f := range freq {
-			if f < 0 {
-				return nil, fmt.Errorf("huffman: negative histogram count %d", f)
-			}
-			sum += f
-		}
-		if sum != int64(len(symbols)) {
-			return nil, fmt.Errorf("huffman: histogram sums to %d for %d symbols", sum, len(symbols))
-		}
+	} else if err := checkHistogram(freq, alphabet, len(symbols)); err != nil {
+		return nil, err
 	}
+	return s.encode(dev, symbols, nil, alphabet, freq)
+}
+
+// checkHistogram verifies a caller-supplied histogram. It replaces the
+// per-symbol range check of the counting sweep, so it checks the cheap
+// invariant that holds for any exact histogram: the right length, counts
+// that are non-negative and sum to the stream length. A histogram that
+// passes but still disagrees with the stream gives some used symbol no
+// code, which the encode kernel reports.
+func checkHistogram(freq []int64, alphabet, n int) error {
+	if len(freq) != alphabet {
+		return fmt.Errorf("huffman: histogram length %d != alphabet %d", len(freq), alphabet)
+	}
+	var sum int64
+	for _, f := range freq {
+		if f < 0 {
+			return fmt.Errorf("huffman: negative histogram count %d", f)
+		}
+		sum += f
+	}
+	if sum != int64(n) {
+		return fmt.Errorf("huffman: histogram sums to %d for %d symbols", sum, n)
+	}
+	return nil
+}
+
+// encode writes the container for the symbol stream, or for the byte
+// stream p when that is non-nil, under the codes freq builds. It codes
+// the chunks in parallel on dev, each through encodeChunkBuf into its
+// pooled s.chunkBufs slot.
+func (s *scratch) encode(dev *gpusim.Device, symbols []uint16, p []byte, alphabet int, freq []int64) ([]byte, error) {
 	lens, err := s.buildLengths(freq)
 	if err != nil {
 		return nil, err
 	}
-	codes := s.canonicalCodes(lens)
+	s.fillEncTable(s.canonicalCodes(lens))
+	n := len(symbols)
+	if p != nil {
+		n = len(p)
+	}
 
 	chunk := DefaultChunk
-	nChunks := (len(symbols) + chunk - 1) / chunk
+	nChunks := (n + chunk - 1) / chunk
 	if cap(s.chunkBufs) < nChunks {
 		s.chunkBufs = append(s.chunkBufs[:cap(s.chunkBufs)], make([][]byte, nChunks-cap(s.chunkBufs))...)
 	}
 	s.chunkBufs = s.chunkBufs[:nChunks] // encJob indexes via s.chunkBufs
 	chunkBufs := s.chunkBufs
-	// Size each chunk's writer from the histogram's exact total bit count.
-	// A skewed chunk may still grow once; the grown buffer is kept in the
-	// scratch slot, so steady-state reuse converges to zero growth.
+	// Size each chunk's buffer from the histogram's exact total bit count,
+	// plus one block of headroom for the kernel's capacity check. A skewed
+	// chunk may still grow; the grown buffer is kept in the scratch slot,
+	// so steady-state reuse converges to zero growth.
 	if nChunks > 0 {
 		var totalBits uint64
 		for sym, f := range freq {
 			totalBits += uint64(f) * uint64(lens[sym])
 		}
 		perChunk := int(totalBits / uint64(nChunks) / 8)
-		est := perChunk + perChunk/8 + 64
+		est := perChunk + perChunk/8 + encBlockBytes
 		for b := range chunkBufs {
 			if cap(chunkBufs[b]) < est {
 				chunkBufs[b] = make([]byte, 0, est)
 			}
 		}
 	}
-	s.k.symbols, s.k.codes, s.k.chunk = symbols, codes, chunk
+	s.k.symbols, s.k.bytes, s.k.chunk = symbols, p, chunk
 	s.k.failed.Store(false)
 	if s.encJob == nil {
 		k := &s.k
 		s.encJob = func(b int) {
-			symbols, codes := k.symbols, k.codes
 			lo := b * k.chunk
-			hi := lo + k.chunk
-			if hi > len(symbols) {
-				hi = len(symbols)
+			var bad uint32
+			if k.bytes != nil {
+				hi := min(lo+k.chunk, len(k.bytes))
+				s.chunkBufs[b], bad = encodeChunkBuf(k.bytes[lo:hi], s.enc, s.chunkBufs[b])
+			} else {
+				hi := min(lo+k.chunk, len(k.symbols))
+				s.chunkBufs[b], bad = encodeChunkBuf(k.symbols[lo:hi], s.enc, s.chunkBufs[b])
 			}
-			var w bitio.Writer
-			w.ResetWithBuf(s.chunkBufs[b])
-			for _, sym := range symbols[lo:hi] {
-				// Both guards are only reachable via a caller histogram
-				// that disagrees with the stream (the nil-freq path
-				// validates while counting): an out-of-alphabet symbol
-				// would panic indexing codes, and a zero-length code
-				// would silently emit an undecodable container.
-				if int(sym) >= len(codes) {
-					k.failed.Store(true)
-					return
-				}
-				cd := codes[sym]
-				if cd.len == 0 {
-					k.failed.Store(true)
-					return
-				}
-				w.WriteBits(uint64(cd.bits), uint(cd.len))
+			// Only reachable via a caller histogram that disagrees with
+			// the stream (the nil-freq path validates while counting): a
+			// symbol without a code would silently emit an undecodable
+			// container.
+			if bad&encBad != 0 {
+				k.failed.Store(true)
 			}
-			s.chunkBufs[b] = w.Bytes()
 		}
 	}
 	dev.Launch(nChunks, s.encJob)
-	s.k.symbols = nil // drop the caller's stream so a pooled ctx never pins it
+	// Drop the caller's stream so a pooled ctx never pins it.
+	s.k.symbols, s.k.bytes = nil, nil
 	if s.k.failed.Load() {
 		return nil, fmt.Errorf("huffman: histogram disagrees with the symbol stream")
 	}
@@ -646,7 +806,7 @@ func EncodeCtx(ctx *arena.Ctx, dev *gpusim.Device, symbols []uint16, alphabet in
 	hdr := s.hdr[:0]
 	hdr = bitio.AppendUvarint(hdr, uint64(alphabet))
 	hdr = appendLengthsRLE(hdr, lens)
-	hdr = bitio.AppendUvarint(hdr, uint64(len(symbols)))
+	hdr = bitio.AppendUvarint(hdr, uint64(n))
 	hdr = bitio.AppendUvarint(hdr, uint64(chunk))
 	hdr = bitio.AppendUvarint(hdr, uint64(nChunks))
 	total := 0
@@ -958,25 +1118,22 @@ func EncodeBytes(dev *gpusim.Device, p []byte) ([]byte, error) {
 }
 
 // EncodeBytesCtx is EncodeBytes with a reusable context and an optional
-// precomputed histogram (see EncodeCtx). When freq is nil the symbol
-// widening and the histogram are fused into one sweep.
+// precomputed histogram over the 256 byte values (see EncodeCtx). The
+// encode kernel reads the bytes themselves, so the stream is never
+// widened to uint16 symbols.
 func EncodeBytesCtx(ctx *arena.Ctx, dev *gpusim.Device, p []byte, freq []int64) ([]byte, error) {
-	syms := ctx.U16(len(p))
+	s := scratchFor(ctx)
 	if freq == nil {
-		s := scratchFor(ctx)
 		s.freq = growI64(s.freq, 256)
 		freq = s.freq
 		clear(freq)
-		for i, b := range p {
-			syms[i] = uint16(b)
+		for _, b := range p {
 			freq[b]++
 		}
-	} else {
-		for i, b := range p {
-			syms[i] = uint16(b)
-		}
+	} else if err := checkHistogram(freq, 256, len(p)); err != nil {
+		return nil, err
 	}
-	return EncodeCtx(ctx, dev, syms, 256, freq)
+	return s.encode(dev, nil, p, 256, freq)
 }
 
 // DecodeBytes reverses EncodeBytes.

@@ -404,3 +404,34 @@ func TestEncodeCtxRejectsMismatchedHistogram(t *testing.T) {
 		t.Fatal("out-of-alphabet symbol with matching histogram sum accepted")
 	}
 }
+
+// TestEncodeBytesCtxRejectsMismatchedHistogram is the byte-path twin of
+// TestEncodeCtxRejectsMismatchedHistogram: a histogram whose sum matches
+// the stream but which gives a used byte a zero-length code must fail the
+// encode, never return a container that cannot be decoded. The stray
+// byte sits in the first chunk, in a full block of the last chunk, and in
+// the last chunk's tail, which is shorter than a block and coded one
+// symbol per store.
+func TestEncodeBytesCtxRejectsMismatchedHistogram(t *testing.T) {
+	n := 2*DefaultChunk + encBlock + 5 // the last chunk: one block, a tail of 5
+	for _, at := range []int{0, 2*DefaultChunk + 1, n - 1} {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte(i % 3)
+		}
+		p[at] = 9
+		freq := histogram(p, 256)
+		freq[9]-- // sum still matches; byte 9 gets no code
+		freq[0]++
+		for _, d := range []*gpusim.Device{gpusim.New(1), dev} {
+			for _, ctx := range []*arena.Ctx{nil, arena.NewCtx()} {
+				if blob, err := EncodeBytesCtx(ctx, d, p, freq); err == nil {
+					t.Fatalf("byte 9 at %d (workers %d): zero-length code accepted, %d-byte container", at, d.Workers(), len(blob))
+				}
+			}
+		}
+	}
+	if _, err := EncodeBytesCtx(nil, dev, []byte{1, 2}, make([]int64, 255)); err == nil {
+		t.Fatal("wrong-length histogram accepted")
+	}
+}
