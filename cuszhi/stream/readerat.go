@@ -32,12 +32,6 @@ import (
 	"repro/internal/pipeline"
 )
 
-// maxFrameHeaderLen bounds a chunk frame header (offset + up to 8 dim
-// uvarints + codec-mode byte + codec-ID byte (v5) + 8-byte range +
-// payload-length uvarint + CRC), so the index scan can fetch one header
-// with a single small ReadAt.
-const maxFrameHeaderLen = 96
-
 // ReaderAt serves random-access plane reads from a compressed container.
 // It is safe for concurrent use: the index is immutable after Open and
 // every ReadPlanes call works on its own buffers.
@@ -66,19 +60,6 @@ type ReaderAt struct {
 	fill     float32
 }
 
-// countReader counts the bytes an io.Reader delivers, so the open can
-// learn the variable-length header's size.
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // OpenReaderAt indexes the container held by src (size bytes long) for
 // random access. v4 containers are opened from their chunk-index footer
 // without touching any chunk payload; v2/v3 containers get an equivalent
@@ -89,22 +70,15 @@ func (c *countReader) Read(p []byte) (int, error) {
 func OpenReaderAt(src io.ReaderAt, size int64, opt ...Option) (*ReaderAt, error) {
 	cfg := newConfig(opt)
 	src = cfg.retry.WrapReaderAt(src)
-	var pre [5]byte
-	if size < int64(len(pre)) {
-		return nil, core.ErrCorrupt
-	}
-	if err := core.ReadFullAt(src, pre[:], 0); err != nil {
-		return nil, core.ErrCorrupt
-	}
-	version, ok := core.SniffVersion(pre[:])
-	if !ok {
-		return nil, core.ErrCorrupt
+	version, h, headerLen, err := core.OpenChunked(src, size)
+	if err != nil {
+		return nil, err
 	}
 	r := &ReaderAt{src: src, size: size, dev: cfg.dev, version: version,
 		degraded: cfg.degraded, fill: cfg.fill}
-	if version == 1 {
-		// Parse dims/eb from the prefix; the payload stays untouched until
-		// the first ReadPlanes.
+	if h == nil {
+		// A v1 blob: parse dims/eb from the prefix; the payload stays
+		// untouched until the first ReadPlanes.
 		head := make([]byte, min(size, 4096))
 		if err := core.ReadFullAt(src, head, 0); err != nil {
 			return nil, core.ErrCorrupt
@@ -117,96 +91,30 @@ func OpenReaderAt(src io.ReaderAt, size int64, opt ...Option) (*ReaderAt, error)
 		r.ps = planeElems(r.dims)
 		return r, nil
 	}
-	cr := &countReader{r: io.NewSectionReader(src, 0, size)}
-	h, err := core.ReadChunkedHeader(cr)
-	if err != nil {
-		return nil, err
-	}
 	r.h, r.dims, r.eb, r.relEB = h, h.Dims, h.EB, h.RelEB
 	r.ps = planeElems(r.dims)
-	headerLen := cr.n
 	if h.Version >= 4 {
-		err = r.loadIndex(headerLen)
-	} else {
-		err = r.scanIndex(headerLen)
+		entries, framesEnd, err := core.LoadIndex(src, size, h, headerLen)
+		if err != nil {
+			return nil, err
+		}
+		return r, r.setIndex(entries, framesEnd)
+	}
+	// No footer: build the index from one walk of the frame headers,
+	// skipping every payload by offset arithmetic.
+	entries := make([]core.IndexEntry, 0, h.NumChunks)
+	w := core.WalkAt(h, src, size, headerLen)
+	err = w.Walk(h.NumChunks, func(f core.Frame) error {
+		entries = append(entries, f.Entry)
+		return nil
+	})
+	if err == nil && (!w.Covered() || w.Off != size) {
+		err = core.ErrCorrupt
 	}
 	if err != nil {
 		return nil, err
 	}
-	return r, nil
-}
-
-// loadIndex reads a v4 container's chunk index from its footer: the fixed
-// tail at EOF yields the backpointer, the index body yields the entries.
-// No chunk payload bytes are read.
-func (r *ReaderAt) loadIndex(headerLen int64) error {
-	if r.size < headerLen+core.IndexTailLen {
-		return core.ErrCorrupt
-	}
-	var tail [core.IndexTailLen]byte
-	if err := core.ReadFullAt(r.src, tail[:], r.size-core.IndexTailLen); err != nil {
-		return core.ErrCorrupt
-	}
-	footerOff, err := core.ParseChunkIndexTail(tail[:])
-	if err != nil {
-		return err
-	}
-	if footerOff < headerLen || footerOff > r.size-core.IndexTailLen {
-		return core.ErrCorrupt
-	}
-	regionLen := r.size - core.IndexTailLen - footerOff
-	// Three uvarints per entry plus the count and CRC: a region wildly
-	// larger than that is hostile, not an index.
-	if regionLen > int64(r.h.NumChunks)*30+64 {
-		return core.ErrCorrupt
-	}
-	region := make([]byte, regionLen)
-	if err := core.ReadFullAt(r.src, region, footerOff); err != nil {
-		return core.ErrCorrupt
-	}
-	entries, err := core.ParseChunkIndex(region, r.h, footerOff)
-	if err != nil {
-		return err
-	}
-	if entries[0].FrameOff != headerLen {
-		return core.ErrCorrupt
-	}
-	return r.setIndex(entries, footerOff)
-}
-
-// scanIndex builds the index for a v2/v3 container by walking its frame
-// headers, skipping every payload by offset arithmetic.
-func (r *ReaderAt) scanIndex(headerLen int64) error {
-	entries := make([]core.IndexEntry, 0, r.h.NumChunks)
-	off := headerLen
-	nextPlane := 0
-	var buf [maxFrameHeaderLen]byte
-	for i := 0; i < r.h.NumChunks; i++ {
-		want := min(int64(len(buf)), r.size-off)
-		if want <= 0 {
-			return core.ErrCorrupt
-		}
-		if err := core.ReadFullAt(r.src, buf[:want], off); err != nil {
-			return core.ErrCorrupt
-		}
-		c, payStart, plen, err := core.ScanFrameHeader(buf[:want], r.h)
-		if err != nil {
-			return err
-		}
-		if c.Offset != nextPlane {
-			return core.ErrCorrupt
-		}
-		entries = append(entries, core.IndexEntry{FrameOff: off, PlaneOff: c.Offset, Planes: c.Dims[0]})
-		off += int64(payStart) + int64(plen)
-		if off > r.size {
-			return core.ErrCorrupt
-		}
-		nextPlane += c.Dims[0]
-	}
-	if nextPlane != r.h.Dims[0] || off != r.size {
-		return core.ErrCorrupt
-	}
-	return r.setIndex(entries, off)
+	return r, r.setIndex(entries, size)
 }
 
 // setIndex installs the entries and derives each frame's end offset (the
@@ -376,19 +284,16 @@ func (r *ReaderAt) decodeChunk(dst []float32, i, lo, hi int) error {
 		return core.ErrCorrupt // truncation: the frame cannot be complete
 	}
 	// The payload stays a subslice of buf: no per-window copy.
-	c, payload, frameLen, err := core.ScanChunkFrame(buf, 0, r.h)
+	w := core.WalkBlob(r.h, buf, e.FrameOff, e.FrameOff)
+	f, err := w.NextEntry(e, r.frameEnd[i])
+	if err == nil {
+		err = w.VerifyCRC(f)
+	}
 	if err != nil {
 		return err
 	}
-	if c.CodecID != e.Codec {
-		return fmt.Errorf("chunk index codec %s disagrees with frame codec %s at plane %d: %w",
-			core.CodecLabel(e.Codec), core.CodecLabel(c.CodecID), e.PlaneOff, core.ErrCorrupt)
-	}
-	if frameLen != len(buf) || c.Offset != e.PlaneOff || c.Dims[0] != e.Planes {
-		return fmt.Errorf("chunk index disagrees with frame at plane %d: %w", e.PlaneOff, core.ErrCorrupt)
-	}
 	s0, s1 := clampSpan(e.PlaneOff, e.PlaneOff+e.Planes, lo, hi)
-	recon, err := core.DecompressShardPlanesCtx(ctx, r.dev, c, payload, s0-e.PlaneOff, s1-e.PlaneOff)
+	recon, err := core.DecompressShardPlanesCtx(ctx, r.dev, f.Info, f.Payload, s0-e.PlaneOff, s1-e.PlaneOff)
 	if err != nil {
 		return err
 	}

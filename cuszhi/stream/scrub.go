@@ -70,97 +70,45 @@ func (s *ScrubReport) Summary() string {
 func Scrub(src io.ReaderAt, size int64, opt ...Option) (*ScrubReport, error) {
 	cfg := newConfig(opt)
 	src = cfg.retry.WrapReaderAt(src)
-	var pre [5]byte
-	if size < int64(len(pre)) {
-		return nil, core.ErrCorrupt
-	}
-	if err := core.ReadFullAt(src, pre[:], 0); err != nil {
-		return nil, core.ErrCorrupt
-	}
-	version, ok := core.SniffVersion(pre[:])
-	if !ok {
-		return nil, core.ErrCorrupt
-	}
-	if version == 1 {
-		return nil, errors.New("stream: scrub requires a chunked container (v2+); v1 blobs carry no frame checksums")
-	}
-	cr := &countReader{r: io.NewSectionReader(src, 0, size)}
-	h, err := core.ReadChunkedHeader(cr)
+	version, h, headerLen, err := core.OpenChunked(src, size)
 	if err != nil {
 		return nil, err
 	}
-	rep := &ScrubReport{Version: h.Version, SizeBytes: size, Chunks: h.NumChunks}
-	headerLen := cr.n
+	if h == nil {
+		return nil, errors.New("stream: scrub requires a chunked container (v2+); v1 blobs carry no frame checksums")
+	}
+	rep := &ScrubReport{Version: version, SizeBytes: size, Chunks: h.NumChunks}
+	w := core.WalkAt(h, src, size, headerLen)
 	if h.Version >= 4 {
-		entries, framesEnd, ferr := scrubIndex(src, size, h, headerLen)
+		entries, framesEnd, ferr := core.LoadIndex(src, size, h, headerLen)
 		if ferr == nil {
-			scrubWithIndex(src, h, entries, framesEnd, rep)
+			scrubWithIndex(&w, entries, framesEnd, rep)
 			return rep, nil
 		}
 		// The footer itself is damaged: record that and verify the frames
 		// by sequential walk instead — the header still locates them.
 		rep.FooterErr = ferr
 	}
-	scrubSequential(src, size, h, headerLen, rep)
+	scrubSequential(&w, size, rep)
 	return rep, nil
 }
 
-// scrubIndex loads and validates a v4/v5 chunk-index footer the way
-// OpenReaderAt does, returning the entries and the frame-region end.
-func scrubIndex(src io.ReaderAt, size int64, h *core.ChunkedInfo, headerLen int64) ([]core.IndexEntry, int64, error) {
-	if size < headerLen+core.IndexTailLen {
-		return nil, 0, fmt.Errorf("no room for the index tail: %w", core.ErrCorrupt)
-	}
-	var tail [core.IndexTailLen]byte
-	if err := core.ReadFullAt(src, tail[:], size-core.IndexTailLen); err != nil {
-		return nil, 0, err
-	}
-	footerOff, err := core.ParseChunkIndexTail(tail[:])
-	if err != nil {
-		return nil, 0, err
-	}
-	if footerOff < headerLen || footerOff > size-core.IndexTailLen {
-		return nil, 0, fmt.Errorf("index backpointer 0x%x outside the file: %w", footerOff, core.ErrCorrupt)
-	}
-	regionLen := size - core.IndexTailLen - footerOff
-	if regionLen > int64(h.NumChunks)*30+64 {
-		return nil, 0, fmt.Errorf("index region oversized (%d bytes): %w", regionLen, core.ErrCorrupt)
-	}
-	region := make([]byte, regionLen)
-	if err := core.ReadFullAt(src, region, footerOff); err != nil {
-		return nil, 0, err
-	}
-	entries, err := core.ParseChunkIndex(region, h, footerOff)
-	if err != nil {
-		return nil, 0, err
-	}
-	if entries[0].FrameOff != headerLen {
-		return nil, 0, fmt.Errorf("first frame offset 0x%x disagrees with header end 0x%x: %w",
-			entries[0].FrameOff, headerLen, core.ErrCorrupt)
-	}
-	return entries, footerOff, nil
-}
-
 // scrubWithIndex verifies each frame against its (already CRC-valid)
-// footer entry: the frame header must parse, agree with the entry on
-// plane offset, plane count and codec, end exactly where the next frame
-// starts, and its payload CRC must match. Every chunk is checked — the
-// footer locates frames independently, so damage in one never hides
-// damage in another.
-func scrubWithIndex(src io.ReaderAt, h *core.ChunkedInfo, entries []core.IndexEntry, framesEnd int64, rep *ScrubReport) {
-	if len(entries) != h.NumChunks {
-		rep.HeaderErr = fmt.Errorf("header claims %d chunks, index holds %d: %w",
-			h.NumChunks, len(entries), core.ErrCorrupt)
-	}
-	planes := 0
-	var buf [maxFrameHeaderLen]byte
+// footer entry: the frame header must parse, prove exactly the entry, end
+// where the next frame starts, and its payload CRC must match. Every
+// chunk is checked — the footer locates frames independently, so damage
+// in one never hides damage in another. The footer already tiles the
+// header's planes with its chunk count.
+func scrubWithIndex(w *core.FrameWalker, entries []core.IndexEntry, framesEnd int64, rep *ScrubReport) {
 	for i, e := range entries {
-		planes += e.Planes
 		end := framesEnd
 		if i+1 < len(entries) {
 			end = entries[i+1].FrameOff
 		}
-		err := scrubFrame(src, h, e, end, buf[:])
+		f, err := w.NextEntry(e, end)
+		if err == nil {
+			err = w.VerifyCRC(f)
+		}
 		if err != nil {
 			rep.Damaged = append(rep.Damaged, ChunkDamage{
 				Chunk: i, Offset: e.FrameOff, PlaneOff: e.PlaneOff, Planes: e.Planes, Err: err})
@@ -168,45 +116,6 @@ func scrubWithIndex(src io.ReaderAt, h *core.ChunkedInfo, entries []core.IndexEn
 		}
 		rep.Verified++
 	}
-	if rep.HeaderErr == nil && planes != h.Dims[0] {
-		rep.HeaderErr = fmt.Errorf("header claims %d planes, frames cover %d: %w",
-			h.Dims[0], planes, core.ErrCorrupt)
-	}
-}
-
-// scrubFrame runs every check one indexed frame supports.
-func scrubFrame(src io.ReaderAt, h *core.ChunkedInfo, e core.IndexEntry, end int64, buf []byte) error {
-	want := min(int64(len(buf)), end-e.FrameOff)
-	if want <= 0 {
-		return fmt.Errorf("frame region empty: %w", core.ErrCorrupt)
-	}
-	if err := core.ReadFullAt(src, buf[:want], e.FrameOff); err != nil {
-		return err
-	}
-	c, payStart, plen, err := core.ScanFrameHeader(buf[:want], h)
-	if err != nil {
-		return err
-	}
-	if c.Offset != e.PlaneOff || c.Dims[0] != e.Planes {
-		return fmt.Errorf("frame covers planes %d+%d, index says %d+%d: %w",
-			c.Offset, c.Dims[0], e.PlaneOff, e.Planes, core.ErrCorrupt)
-	}
-	if c.CodecID != e.Codec {
-		return fmt.Errorf("frame codec %s disagrees with index codec %s: %w",
-			core.CodecLabel(c.CodecID), core.CodecLabel(e.Codec), core.ErrCorrupt)
-	}
-	if e.FrameOff+int64(payStart)+int64(plen) != end {
-		return fmt.Errorf("frame ends at 0x%x, next frame starts at 0x%x: %w",
-			e.FrameOff+int64(payStart)+int64(plen), end, core.ErrCorrupt)
-	}
-	crc, err := core.CRC32At(src, e.FrameOff+int64(payStart), int64(plen))
-	if err != nil {
-		return err
-	}
-	if crc != c.Checksum {
-		return fmt.Errorf("payload checksum mismatch: %w", core.ErrCorrupt)
-	}
-	return nil
 }
 
 // scrubSequential verifies frames by walking the chain from the header,
@@ -214,53 +123,28 @@ func scrubFrame(src io.ReaderAt, h *core.ChunkedInfo, e core.IndexEntry, end int
 // itself damaged). A payload CRC mismatch doesn't stop the walk — the
 // frame header still gives the next frame's position — but an unparseable
 // frame header does: past it every offset is guesswork.
-func scrubSequential(src io.ReaderAt, size int64, h *core.ChunkedInfo, headerLen int64, rep *ScrubReport) {
-	off := headerLen
-	nextPlane := 0
-	var buf [maxFrameHeaderLen]byte
-	i := 0
-	for ; i < h.NumChunks; i++ {
-		want := min(int64(len(buf)), size-off)
-		if want <= 0 {
-			break
-		}
-		if err := core.ReadFullAt(src, buf[:want], off); err != nil {
-			rep.Damaged = append(rep.Damaged, ChunkDamage{Chunk: i, Offset: off, PlaneOff: nextPlane, Err: err})
-			return
-		}
-		c, payStart, plen, err := core.ScanFrameHeader(buf[:want], h)
-		if err == nil && c.Offset != nextPlane {
-			err = fmt.Errorf("frame covers plane %d, expected %d: %w", c.Offset, nextPlane, core.ErrCorrupt)
-		}
-		if err == nil && off+int64(payStart)+int64(plen) > size {
-			err = fmt.Errorf("frame payload runs past EOF: %w", core.ErrCorrupt)
-		}
-		if err != nil {
-			// Structural damage: the walk cannot step past this frame.
-			rep.Damaged = append(rep.Damaged, ChunkDamage{Chunk: i, Offset: off, PlaneOff: nextPlane, Err: err})
-			return
-		}
-		crc, err := core.CRC32At(src, off+int64(payStart), int64(plen))
-		if err != nil {
+func scrubSequential(w *core.FrameWalker, size int64, rep *ScrubReport) {
+	h := w.H
+	err := w.Walk(h.NumChunks, func(f core.Frame) error {
+		if err := w.VerifyCRC(f); err != nil {
+			e := f.Entry
 			rep.Damaged = append(rep.Damaged, ChunkDamage{
-				Chunk: i, Offset: off, PlaneOff: c.Offset, Planes: c.Dims[0], Err: err})
-		} else if crc != c.Checksum {
-			rep.Damaged = append(rep.Damaged, ChunkDamage{
-				Chunk: i, Offset: off, PlaneOff: c.Offset, Planes: c.Dims[0],
-				Err: fmt.Errorf("payload checksum mismatch: %w", core.ErrCorrupt)})
-		} else {
-			rep.Verified++
+				Chunk: f.Chunk, Offset: e.FrameOff, PlaneOff: e.PlaneOff, Planes: e.Planes, Err: err})
+			return nil
 		}
-		off += int64(payStart) + int64(plen)
-		nextPlane += c.Dims[0]
-	}
+		rep.Verified++
+		return nil
+	})
 	switch {
-	case i < h.NumChunks:
-		rep.HeaderErr = fmt.Errorf("frames end after chunk %d of %d: %w", i, h.NumChunks, core.ErrCorrupt)
-	case nextPlane != h.Dims[0]:
+	case err != nil:
+		// Structural damage: the walk cannot step past this frame.
+		rep.Damaged = append(rep.Damaged, ChunkDamage{Chunk: w.Frames, Offset: w.Off, PlaneOff: w.Planes, Err: err})
+	case w.Frames < h.NumChunks:
+		rep.HeaderErr = fmt.Errorf("frames end after chunk %d of %d: %w", w.Frames, h.NumChunks, core.ErrCorrupt)
+	case w.Planes != h.Dims[0]:
 		rep.HeaderErr = fmt.Errorf("header claims %d planes, frames cover %d: %w",
-			h.Dims[0], nextPlane, core.ErrCorrupt)
-	case h.Version < 4 && off != size:
-		rep.HeaderErr = fmt.Errorf("%d trailing bytes after the frames: %w", size-off, core.ErrCorrupt)
+			h.Dims[0], w.Planes, core.ErrCorrupt)
+	case h.Version < 4 && w.Off != size:
+		rep.HeaderErr = fmt.Errorf("%d trailing bytes after the frames: %w", size-w.Off, core.ErrCorrupt)
 	}
 }

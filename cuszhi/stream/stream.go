@@ -624,13 +624,11 @@ func NewReader(r io.Reader, opt ...Option) (*Reader, error) {
 		sr.cur = valueBytes(recon)
 		return sr, nil
 	}
-	// Count the bytes consumed past this point, so the feeder knows each
-	// frame's byte offset and can localize damage in error text.
-	cr := &countReader{r: br}
-	h, err := core.ReadChunkedHeader(cr)
+	w, err := core.WalkStream(br)
 	if err != nil {
 		return nil, err
 	}
+	h := w.H
 	sr := &Reader{
 		dims:     h.Dims,
 		eb:       h.EB,
@@ -640,7 +638,7 @@ func NewReader(r io.Reader, opt ...Option) (*Reader, error) {
 		degraded: cfg.degraded,
 		fill:     cfg.fill,
 	}
-	go sr.feed(cr, cfg.dev, h, sr.pool)
+	go sr.feed(&w, cfg.dev, sr.pool)
 	return sr, nil
 }
 
@@ -677,79 +675,74 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// feed scans chunk frames sequentially and submits their decompression to
+// errStopWalk ends the feeder's frame walk early: the Reader was closed,
+// or a failed job that reports why is already submitted.
+var errStopWalk = errors.New("stream: frame walk stopped")
+
+// feed walks the chunk frames with w and submits their decompression to
 // the pool; Read collects shards in order. Each job decodes through a
 // pooled codec context and serializes the slab to bytes before the context
 // is recycled. The pool is passed explicitly because Close detaches r.pool
 // while the feeder may still be running.
 //
-// In degraded mode the payload CRC is checked here (ReadChunkFrameRaw
-// leaves the stream positioned at the next frame even when the payload is
-// rotten), so a damaged chunk is recorded and replaced by filler planes
-// while the walk continues. Structural damage — an unparseable frame
-// header, a plane-offset mismatch — still aborts: past it the stream
-// position is indeterminate.
-func (r *Reader) feed(cr *countReader, dev *gpusim.Device, h *core.ChunkedInfo, pool *pipeline.Pool[[]byte]) {
+// The walker reads each payload whole without checking its CRC, leaving
+// the stream at the next frame, so in degraded mode a CRC mismatch is
+// recorded and its chunk replaced by filler planes while the walk
+// continues. Structural damage — an unparseable frame header, a plane-
+// offset mismatch — still aborts: past it the stream position is
+// indeterminate.
+func (r *Reader) feed(w *core.FrameWalker, dev *gpusim.Device, pool *pipeline.Pool[[]byte]) {
 	defer pool.Close()
-	nextPlane := 0
-	ps := planeElems(h.Dims)
-	for i := 0; i < h.NumChunks; i++ {
+	ps := planeElems(w.H.Dims)
+	fail := func(err error) { pool.Submit(func() ([]byte, error) { return nil, err }) }
+	err := w.Walk(w.H.NumChunks, func(f core.Frame) error {
+		e := f.Entry
+		if err := w.VerifyCRC(f); err != nil {
+			if !r.degraded {
+				fail(fmt.Errorf("stream: chunk %d @0x%x: %w", f.Chunk, e.FrameOff, err))
+				return errStopWalk
+			}
+			r.recordDamage(ChunkDamage{Chunk: f.Chunk, Offset: e.FrameOff, PlaneOff: e.PlaneOff, Planes: e.Planes, Err: err})
+			pool.Submit(func() ([]byte, error) { return fillBytes(e.Planes*ps, r.fill), nil })
+		} else {
+			pool.Submit(func() ([]byte, error) { return r.decodeFrame(dev, f, ps) })
+		}
 		select {
 		case <-r.quit:
-			return
+			return errStopWalk
 		default:
+			return nil
 		}
-		frameOff := cr.n
-		var c *core.ChunkInfo
-		var payload []byte
-		var err error
-		if r.degraded {
-			c, payload, err = core.ReadChunkFrameRaw(cr, h)
-		} else {
-			c, payload, err = core.ReadChunkFrame(cr, h)
-		}
-		if err == nil && c.Offset != nextPlane {
-			err = core.ErrCorrupt
-		}
-		if err != nil {
-			err = fmt.Errorf("stream: chunk %d @0x%x: %w", i, frameOff, err)
-			pool.Submit(func() ([]byte, error) { return nil, err })
-			return
-		}
-		nextPlane += c.Dims[0]
-		if r.degraded {
-			if verr := core.VerifyChunkPayload(c, payload); verr != nil {
-				r.recordDamage(ChunkDamage{
-					Chunk: i, Offset: frameOff, PlaneOff: c.Offset, Planes: c.Dims[0], Err: verr})
-				n := c.Dims[0] * ps
-				pool.Submit(func() ([]byte, error) { return fillBytes(n, r.fill), nil })
-				continue
-			}
-		}
-		pool.Submit(func() ([]byte, error) {
-			ctx := arena.Get()
-			defer arena.Put(ctx)
-			recon, err := core.DecompressShardCtx(ctx, dev, c, payload)
-			if err != nil {
-				if r.degraded {
-					// The payload CRC passed but decode failed (rot in the
-					// uncovered frame-header bytes): fill rather than abort.
-					r.recordDamage(ChunkDamage{
-						Chunk: i, Offset: frameOff, PlaneOff: c.Offset, Planes: c.Dims[0], Err: err})
-					return fillBytes(c.Dims[0]*ps, r.fill), nil
-				}
-				return nil, fmt.Errorf("stream: chunk %d @0x%x: %w", i, frameOff, err)
-			}
-			return valueBytes(recon), nil
-		})
-	}
-	if nextPlane != h.Dims[0] {
-		pool.Submit(func() ([]byte, error) { return nil, core.ErrCorrupt })
+	})
+	switch {
+	case err == errStopWalk:
+	case err != nil:
+		fail(fmt.Errorf("stream: chunk %d @0x%x: %w", w.Frames, w.Off, err))
+	case !w.Covered():
+		fail(core.ErrCorrupt)
 	}
 	// Unlike the one-shot blob decoder (which rejects trailing bytes —
 	// a blob is exactly one container), the streaming reader stops after
 	// one container without probing for EOF: probing would block forever
 	// on a socket or pipe the producer keeps open.
+}
+
+// decodeFrame decodes one CRC-checked frame's payload to float32 bytes.
+func (r *Reader) decodeFrame(dev *gpusim.Device, f core.Frame, ps int) ([]byte, error) {
+	ctx := arena.Get()
+	defer arena.Put(ctx)
+	recon, err := core.DecompressShardCtx(ctx, dev, f.Info, f.Payload)
+	if err == nil {
+		return valueBytes(recon), nil
+	}
+	e := f.Entry
+	if !r.degraded {
+		return nil, fmt.Errorf("stream: chunk %d @0x%x: %w", f.Chunk, e.FrameOff, err)
+	}
+	// The payload CRC passed but decode failed (rot in the uncovered
+	// frame-header bytes): fill rather than abort.
+	r.recordDamage(ChunkDamage{Chunk: f.Chunk, Offset: e.FrameOff, PlaneOff: e.PlaneOff, Planes: e.Planes, Err: err})
+	return fillBytes(e.Planes*ps, r.fill), nil
 }
 
 // recordDamage appends one damaged-chunk record (decode jobs run

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -116,6 +117,36 @@ func TestCompressChunkedCodec(t *testing.T) {
 			if info.ChunkCodecs[name] != wantChunks || len(info.ChunkCodecs) != 1 {
 				t.Fatalf("%s/cp=%d: histogram %v", name, cp, info.ChunkCodecs)
 			}
+		}
+	}
+}
+
+// TestSZpNaNChunkedV5: a chunked v5 szp store over a field with NaN
+// sprinkles decodes, NaN as NaN and every finite value within the bound.
+func TestSZpNaNChunkedV5(t *testing.T) {
+	const eb = 1e-3
+	dims := []int{12, 10, 10}
+	data := rampField(12 * 10 * 10)
+	for i := 7; i < len(data); i += 97 {
+		data[i] = float32(math.NaN())
+	}
+	cd, _ := CodecByName("szp")
+	blob, err := CompressChunked(dev, data, dims, 4, EncodeSpec{Version: 5, EB: eb, Codec: cd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recon, _, err := Decompress(dev, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range data {
+		r := float64(recon[i])
+		if v != v {
+			if !math.IsNaN(r) {
+				t.Fatalf("NaN at %d decoded as %v", i, r)
+			}
+		} else if !(math.Abs(float64(v)-r) <= eb) {
+			t.Fatalf("bound violated at %d: %v vs %v", i, v, r)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/lccodec"
 	"repro/internal/lorenzo"
 	"repro/internal/metrics"
-	"repro/internal/szp"
 	"repro/internal/szx"
 )
 
@@ -21,7 +20,6 @@ func setBatchedKernels(v bool) {
 	lorenzo.Batched = v
 	interp.Batched = v
 	lccodec.Batched = v
-	szp.Batched = v
 	szx.Batched = v
 }
 

@@ -772,9 +772,8 @@ func readChunkedHeaderBody(r io.Reader, ver, flags byte) (*ChunkedInfo, error) {
 	return h, nil
 }
 
-// validateChunkFrame applies the frame-header rules shared by the stream
-// parser (ReadChunkFrame) and the blob scanner (ScanChunkFrame), so the
-// two decode paths can never drift apart on what is a valid frame.
+// validateChunkFrame applies the frame-header rules ScanFrameHeader, the
+// one frame-header parser, checks once the header's fields are in hand.
 func validateChunkFrame(h *ChunkedInfo, c *ChunkInfo, plen uint64) error {
 	if c.Offset >= h.Dims[0] {
 		return ErrCorrupt
@@ -848,94 +847,34 @@ func readPayload(r io.Reader, n uint64) ([]byte, error) {
 	return buf, nil
 }
 
-// VerifyChunkPayload checks a chunk payload against its frame header's
-// CRC-32, wrapping ErrCorrupt on mismatch.
-func VerifyChunkPayload(c *ChunkInfo, payload []byte) error {
-	if crc32.ChecksumIEEE(payload) != c.Checksum {
-		return fmt.Errorf("core: chunk at plane %d: checksum mismatch: %w", c.Offset, ErrCorrupt)
-	}
-	return nil
-}
-
-// ReadChunkFrame parses the next chunk frame from r, returning its header
-// and payload. The global header h supplies dimensionality and bounds; the
-// frame is validated against it (trailing dims, payload size cap, CRC).
+// ReadChunkFrame reads one chunk frame from r, consuming exactly its
+// bytes, and returns its header and CRC-checked payload. The global header
+// h supplies dimensionality and bounds; the frame is validated against it.
+// The header is grown a byte at a time until ScanFrameHeader stops
+// reporting a short buffer, so r is never read past the frame.
 func ReadChunkFrame(r io.Reader, h *ChunkedInfo) (*ChunkInfo, []byte, error) {
-	c, payload, err := ReadChunkFrameRaw(r, h)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := VerifyChunkPayload(c, payload); err != nil {
-		return nil, nil, err
-	}
-	return c, payload, nil
-}
-
-// ReadChunkFrameRaw parses the next chunk frame from r — header validation
-// included — but does NOT verify the payload CRC; the caller must run
-// VerifyChunkPayload before trusting the bytes. Degraded readers use the
-// split so a bit-rotted payload leaves r positioned exactly at the next
-// frame boundary: the frame is structurally intact and fully consumed,
-// only its bytes are wrong, so the read can skip the chunk and continue.
-func ReadChunkFrameRaw(r io.Reader, h *ChunkedInfo) (*ChunkInfo, []byte, error) {
-	off, err := readUvarint(r)
-	if err != nil || off > 1<<31 {
-		return nil, nil, ErrCorrupt
-	}
-	c := &ChunkInfo{Offset: int(off), Dims: make([]int, len(h.Dims))}
-	for i := range c.Dims {
-		v, err := readUvarint(r)
-		if err != nil || v > 1<<31 {
+	var hdr [MaxFrameHeaderLen]byte
+	for n := 1; n <= len(hdr); n++ {
+		if _, err := io.ReadFull(r, hdr[n-1:n]); err != nil {
 			return nil, nil, ErrCorrupt
 		}
-		c.Dims[i] = int(v)
-	}
-	var mode [1]byte
-	if _, err := io.ReadFull(r, mode[:]); err != nil {
-		return nil, nil, ErrCorrupt
-	}
-	c.CodecMode = mode[0]
-	if h.Version >= version5 {
-		var id [1]byte
-		if _, err := io.ReadFull(r, id[:]); err != nil {
-			return nil, nil, ErrCorrupt
+		c, _, plen, err := ScanFrameHeader(hdr[:n], h)
+		if err == errShortFrame {
+			continue
 		}
-		c.CodecID = CodecID(id[0])
-	}
-	if h.Version >= version3 {
-		var rng [8]byte
-		if _, err := io.ReadFull(r, rng[:]); err != nil {
-			return nil, nil, ErrCorrupt
+		if err != nil {
+			return nil, nil, err
 		}
-		c.Min = math.Float32frombits(binary.LittleEndian.Uint32(rng[:4]))
-		c.Max = math.Float32frombits(binary.LittleEndian.Uint32(rng[4:]))
+		payload, err := readPayload(r, uint64(plen))
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := checkCRC(c, crc32.ChecksumIEEE(payload)); err != nil {
+			return nil, nil, err
+		}
+		return c, payload, nil
 	}
-	plen, err := readUvarint(r)
-	if err != nil {
-		return nil, nil, ErrCorrupt
-	}
-	if err := validateChunkFrame(h, c, plen); err != nil {
-		return nil, nil, err
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(r, crc[:]); err != nil {
-		return nil, nil, ErrCorrupt
-	}
-	c.Checksum = binary.LittleEndian.Uint32(crc[:])
-	payload, err := readPayload(r, plen)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, payload, nil
-}
-
-// DecompressShard decodes one chunk's payload and validates it against the
-// frame header. Shard payloads must be v1 containers (no nesting), and the
-// frame's codec-mode predictor nibble must match the payload's predictor
-// byte (the pipeline nibble is advisory — the payload self-describes it at
-// a mode-dependent offset).
-func DecompressShard(dev *gpusim.Device, c *ChunkInfo, payload []byte) ([]float32, error) {
-	return DecompressShardCtx(nil, dev, c, payload)
+	return nil, nil, ErrCorrupt
 }
 
 // verifyV1ShardPayload cross-checks a frame header against the v1
@@ -953,7 +892,8 @@ func verifyV1ShardPayload(c *ChunkInfo, payload []byte) error {
 	return nil
 }
 
-// DecompressShardCtx is DecompressShard with a reusable context: it is
+// DecompressShardCtx decodes one chunk's payload and validates it against
+// the frame header, drawing scratch from ctx: it is
 // DecompressShardPlanesCtx over every plane of the chunk.
 func DecompressShardCtx(ctx *arena.Ctx, dev *gpusim.Device, c *ChunkInfo, payload []byte) ([]float32, error) {
 	return DecompressShardPlanesCtx(ctx, dev, c, payload, 0, c.Dims[0])
@@ -1008,158 +948,126 @@ func DecompressShardPlanesCtx(ctx *arena.Ctx, dev *gpusim.Device, c *ChunkInfo, 
 	return recon, nil
 }
 
-// ScanFrameHeader parses a chunk frame header from the front of buf, which
-// need only hold the header bytes — not the payload. It returns the frame
-// info (checksum included), the offset within buf at which the payload
-// begins, and the payload length, applying the same validation as the full
-// frame readers. Index builders use it to walk a container's frames by
-// offset arithmetic without touching any payload bytes.
+// errShortFrame reports a buffer that ends inside a frame header. A
+// reader that fetches header bytes incrementally takes it as "fetch more";
+// to every other caller it is corruption.
+var errShortFrame = fmt.Errorf("core: frame header runs past the input: %w", ErrCorrupt)
+
+// ScanFrameHeader is the one frame-header parser. It parses the chunk
+// frame header at the front of buf, which need only hold the header bytes
+// — not the payload — and validates it against the global header h. It
+// returns the frame info (checksum included), the offset within buf at
+// which the payload begins, and the payload length. A buf that ends inside
+// the header fails with errShortFrame, any other invalid header with
+// validateChunkFrame's error or ErrCorrupt. A failed parse allocates no
+// ChunkInfo, so a reader can retry it cheaply on a growing buffer.
 func ScanFrameHeader(buf []byte, h *ChunkedInfo) (*ChunkInfo, int, int, error) {
-	off := 0
-	readUv := func() (uint64, bool) {
-		v, n := bitio.Uvarint(buf[off:])
-		if n == 0 || v > 1<<31 {
-			return 0, false
-		}
-		off += n
-		return v, true
-	}
-	o, ok := readUv()
-	if !ok {
+	if len(h.Dims) > 8 {
 		return nil, 0, 0, ErrCorrupt
 	}
-	c := &ChunkInfo{Offset: int(o), Dims: make([]int, len(h.Dims))}
+	off := 0
+	readUv := func() (uint64, error) {
+		v, n := bitio.Uvarint(buf[off:])
+		if n == 0 && len(buf)-off < 10 {
+			return 0, errShortFrame
+		}
+		if n == 0 || v > 1<<31 {
+			return 0, ErrCorrupt
+		}
+		off += n
+		return v, nil
+	}
+	o, err := readUv()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	var dims [8]int
+	c := ChunkInfo{Offset: int(o), Dims: dims[:len(h.Dims)]}
 	for i := range c.Dims {
-		v, ok := readUv()
-		if !ok {
-			return nil, 0, 0, ErrCorrupt
+		v, err := readUv()
+		if err != nil {
+			return nil, 0, 0, err
 		}
 		c.Dims[i] = int(v)
 	}
 	if off >= len(buf) {
-		return nil, 0, 0, ErrCorrupt
+		return nil, 0, 0, errShortFrame
 	}
 	c.CodecMode = buf[off]
 	off++
 	if h.Version >= version5 {
 		if off >= len(buf) {
-			return nil, 0, 0, ErrCorrupt
+			return nil, 0, 0, errShortFrame
 		}
 		c.CodecID = CodecID(buf[off])
 		off++
 	}
 	if h.Version >= version3 {
 		if off+8 > len(buf) {
-			return nil, 0, 0, ErrCorrupt
+			return nil, 0, 0, errShortFrame
 		}
 		c.Min = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
 		c.Max = math.Float32frombits(binary.LittleEndian.Uint32(buf[off+4:]))
 		off += 8
 	}
-	plen, ok := readUv()
-	if !ok {
-		return nil, 0, 0, ErrCorrupt
+	plen, err := readUv()
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	if err := validateChunkFrame(h, c, plen); err != nil {
+	if err := validateChunkFrame(h, &c, plen); err != nil {
 		return nil, 0, 0, err
 	}
 	if off+4 > len(buf) {
-		return nil, 0, 0, ErrCorrupt
+		return nil, 0, 0, errShortFrame
 	}
-	c.Checksum = binary.LittleEndian.Uint32(buf[off:])
-	off += 4
-	return c, off, int(plen), nil
-}
-
-// ScanChunkFrame parses the chunk frame at blob[off:] without copying the
-// payload (it is returned as a subslice), sharing ScanFrameHeader and
-// VerifyChunkPayload with the other decode paths. It returns the offset
-// just past the frame.
-func ScanChunkFrame(blob []byte, off int, h *ChunkedInfo) (*ChunkInfo, []byte, int, error) {
-	if off < 0 || off > len(blob) {
-		return nil, nil, 0, ErrCorrupt
-	}
-	c, payStart, plen, err := ScanFrameHeader(blob[off:], h)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	off += payStart
-	if off+plen > len(blob) {
-		return nil, nil, 0, ErrCorrupt
-	}
-	payload := blob[off : off+plen]
-	off += plen
-	if err := VerifyChunkPayload(c, payload); err != nil {
-		return nil, nil, 0, err
-	}
-	return c, payload, off, nil
+	// Built field by field, not copied from c: a copy would let the stack
+	// dims array escape along with c.Dims.
+	out := &ChunkInfo{Offset: c.Offset, Dims: append([]int(nil), c.Dims...), CodecMode: c.CodecMode,
+		CodecID: c.CodecID, Min: c.Min, Max: c.Max, Checksum: binary.LittleEndian.Uint32(buf[off:])}
+	return out, off + 4, int(plen), nil
 }
 
 // decompressChunked decodes a chunked (v2–v5) container: the frames are
-// scanned sequentially (cheap, zero-copy — payloads stay subslices of
+// walked sequentially (cheap, zero-copy — payloads stay subslices of
 // blob), then decoded concurrently into the output field, each worker
 // reusing its own pooled codec context across shards. The output field is
 // drawn from the caller's ctx (scratch) when one is supplied.
 func decompressChunked(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float32, []int, error) {
-	r := bytes.NewReader(blob[6:]) // past magic + version + flags
-	h, err := readChunkedHeaderBody(r, blob[4], blob[5])
+	src := bytes.NewReader(blob)
+	_, h, headerLen, err := OpenChunked(src, int64(len(blob)))
 	if err != nil {
 		return nil, nil, err
 	}
-	off := len(blob) - r.Len()
-	type chunk struct {
-		info    *ChunkInfo
-		payload []byte
+	chunks := make([]Frame, 0, h.NumChunks)
+	w := WalkBlob(h, blob, 0, headerLen)
+	err = w.Walk(h.NumChunks, func(f Frame) error {
+		chunks = append(chunks, f)
+		return w.VerifyCRC(f)
+	})
+	if err == nil && !w.Covered() {
+		err = ErrCorrupt // missing frames, or a gap or overlap in shard coverage
 	}
-	chunks := make([]chunk, h.NumChunks)
-	frameOffs := make([]int, h.NumChunks)
-	nextPlane := 0
-	for i := range chunks {
-		frameOffs[i] = off
-		c, payload, next, err := ScanChunkFrame(blob, off, h)
-		if err != nil {
-			return nil, nil, err
-		}
-		off = next
-		if c.Offset != nextPlane {
-			return nil, nil, ErrCorrupt // gap or overlap in shard coverage
-		}
-		nextPlane += c.Dims[0]
-		chunks[i] = chunk{c, payload}
-	}
-	if nextPlane != h.Dims[0] {
-		return nil, nil, ErrCorrupt
+	if err != nil {
+		return nil, nil, err
 	}
 	if h.Version >= version4 {
 		// The index footer must occupy the rest of the blob exactly, point
 		// back at where the frames ended, and agree with the frames the
-		// scan just saw — a v4 container whose index lies is corrupt even
+		// walk just saw — a v4 container whose index lies is corrupt even
 		// when decoded sequentially.
-		if len(blob)-off < IndexTailLen {
-			return nil, nil, ErrCorrupt
-		}
-		footerOff, err := ParseChunkIndexTail(blob[len(blob)-IndexTailLen:])
+		entries, framesEnd, err := LoadIndex(src, int64(len(blob)), h, headerLen)
 		if err != nil {
 			return nil, nil, err
 		}
-		if footerOff != int64(off) {
+		if framesEnd != w.Off {
 			return nil, nil, ErrCorrupt
-		}
-		entries, err := ParseChunkIndex(blob[off:len(blob)-IndexTailLen], h, footerOff)
-		if err != nil {
-			return nil, nil, err
 		}
 		for i, e := range entries {
-			if e.Codec != chunks[i].info.CodecID {
-				return nil, nil, fmt.Errorf("core: chunk index codec %s disagrees with frame %d codec %s: %w",
-					CodecLabel(e.Codec), i, CodecLabel(chunks[i].info.CodecID), ErrCorrupt)
-			}
-			if e.FrameOff != int64(frameOffs[i]) || e.PlaneOff != chunks[i].info.Offset ||
-				e.Planes != chunks[i].info.Dims[0] {
-				return nil, nil, fmt.Errorf("core: chunk index disagrees with frame %d: %w", i, ErrCorrupt)
+			if err := checkEntry(e, chunks[i].Entry); err != nil {
+				return nil, nil, err
 			}
 		}
-	} else if off != len(blob) {
+	} else if w.Off != int64(len(blob)) {
 		return nil, nil, ErrCorrupt
 	}
 	// Decode the first shard before allocating the full output, so a
@@ -1167,7 +1075,7 @@ func decompressChunked(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float
 	// field-sized allocation. The shard slab is worker-context scratch;
 	// it is copied into the output before the context is recycled.
 	firstCtx := arena.Get()
-	first, err := DecompressShardCtx(firstCtx, dev, chunks[0].info, chunks[0].payload)
+	first, err := DecompressShardCtx(firstCtx, dev, chunks[0].Info, chunks[0].Payload)
 	if err != nil {
 		arena.Put(firstCtx)
 		return nil, nil, err
@@ -1182,11 +1090,11 @@ func decompressChunked(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float
 		ctx := ctxs[w]
 		ctx.Reset()
 		c := chunks[i+1]
-		recon, err := DecompressShardCtx(ctx, dev, c.info, c.payload)
+		recon, err := DecompressShardCtx(ctx, dev, c.Info, c.Payload)
 		if err != nil {
 			return struct{}{}, err
 		}
-		copy(out[c.info.Offset*ps:], recon)
+		copy(out[c.Info.Offset*ps:], recon)
 		return struct{}{}, nil
 	})
 	if err != nil {
@@ -1246,52 +1154,42 @@ func Inspect(blob []byte) (*Info, error) {
 		info.EB = math.Float64frombits(binary.LittleEndian.Uint64(ebb[:]))
 		return info, nil
 	case version2, version3, version4, version5:
-		h, err := ReadChunkedHeader(bytes.NewReader(blob))
+		src := bytes.NewReader(blob)
+		_, h, headerLen, err := OpenChunked(src, int64(len(blob)))
 		if err != nil {
 			return nil, err
 		}
 		info := &Info{Version: h.Version, Dims: h.Dims, EB: h.EB, RelEB: h.RelEB,
 			NumChunks: h.NumChunks, ChunkPlanes: h.ChunkPlanes}
-		if h.Version >= version4 {
-			// Headers-only check of the seekable tail: the backpointer must
-			// land inside the blob ahead of the fixed tail.
-			if len(blob) < IndexTailLen {
-				return nil, ErrCorrupt
+		if h.Version < version4 {
+			return info, nil
+		}
+		// Headers-only read of the seekable footer. It alone yields
+		// per-chunk observability: frame extents (offset deltas, closed by
+		// the footer offset) against raw plane bytes give each chunk's
+		// actual compression ratio, and for v5 the recorded codec IDs give
+		// the codec histogram — no payload is touched for either.
+		entries, footerOff, err := LoadIndex(src, int64(len(blob)), h, headerLen)
+		if err != nil {
+			return nil, err
+		}
+		info.HasIndex = true
+		ps := planeSize(h.Dims)
+		info.ChunkCRs = make([]float64, len(entries))
+		for i, e := range entries {
+			end := footerOff
+			if i+1 < len(entries) {
+				end = entries[i+1].FrameOff
 			}
-			footerOff, err := ParseChunkIndexTail(blob[len(blob)-IndexTailLen:])
-			if err != nil {
-				return nil, err
+			if fb := end - e.FrameOff; fb > 0 {
+				info.ChunkCRs[i] = float64(4*e.Planes*ps) / float64(fb)
 			}
-			if footerOff >= int64(len(blob)-IndexTailLen) {
-				return nil, ErrCorrupt
-			}
-			info.HasIndex = true
-			// The footer alone yields per-chunk observability: frame
-			// extents (offset deltas, closed by the footer offset) against
-			// raw plane bytes give each chunk's actual compression ratio,
-			// and for v5 the recorded codec IDs give the codec histogram —
-			// no payload is touched for either.
-			entries, err := ParseChunkIndex(blob[footerOff:len(blob)-IndexTailLen], h, footerOff)
-			if err != nil {
-				return nil, err
-			}
-			ps := planeSize(h.Dims)
-			info.ChunkCRs = make([]float64, len(entries))
-			for i, e := range entries {
-				end := footerOff
-				if i+1 < len(entries) {
-					end = entries[i+1].FrameOff
-				}
-				if fb := end - e.FrameOff; fb > 0 {
-					info.ChunkCRs[i] = float64(4*e.Planes*ps) / float64(fb)
-				}
-			}
-			if h.Version >= version5 {
-				info.ChunkCodecs = make(map[string]int)
-				for _, e := range entries {
-					cd, _ := CodecByID(e.Codec) // registered: ParseChunkIndex validated it
-					info.ChunkCodecs[cd.Name()]++
-				}
+		}
+		if h.Version >= version5 {
+			info.ChunkCodecs = make(map[string]int)
+			for _, e := range entries {
+				cd, _ := CodecByID(e.Codec) // registered: ParseChunkIndex validated it
+				info.ChunkCodecs[cd.Name()]++
 			}
 		}
 		return info, nil

@@ -222,7 +222,8 @@ func TestStreamFrameHostilePayloadLen(t *testing.T) {
 	if _, _, err := ReadChunkFrame(bytes.NewReader(over), h); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("over-cap plen via stream: err = %v", err)
 	}
-	if _, _, _, err := ScanChunkFrame(over, 0, h); !errors.Is(err, ErrCorrupt) {
+	w := WalkBlob(h, over, 0, 0)
+	if _, err := w.Next(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("over-cap plen via blob: err = %v", err)
 	}
 }
@@ -370,7 +371,8 @@ func TestV3RejectsBadRange(t *testing.T) {
 	if _, _, err := ReadChunkFrame(bytes.NewReader(nan), h); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("NaN range: err = %v", err)
 	}
-	if _, _, _, err := ScanChunkFrame(bad, 0, h); !errors.Is(err, ErrCorrupt) {
+	w := WalkBlob(h, bad, 0, 0)
+	if _, err := w.Next(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unordered range via blob scan: err = %v", err)
 	}
 }

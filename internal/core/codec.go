@@ -132,9 +132,13 @@ func Codecs() []Codec {
 }
 
 // CodecLabel formats a codec wire ID for diagnostics: "name (id N)" for a
-// registered codec, "unknown id N" otherwise. Cross-check error messages
-// use it so a frame/footer disagreement names the codecs involved.
+// registered codec, "none" for the v2–v4 frames that carry no ID, and
+// "unknown id N" otherwise. Cross-check error messages use it so a
+// frame/footer disagreement names the codecs involved.
 func CodecLabel(id CodecID) string {
+	if id == codecInvalid {
+		return "none"
+	}
 	if e, ok := codecsByID[id]; ok {
 		return fmt.Sprintf("%s (id %d)", e.codec.Name(), id)
 	}

@@ -499,7 +499,14 @@ func decompressPlanes(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, lo, hi in
 	if err != nil {
 		return nil, nil, err
 	}
-	return pc.decompress(ctx, dev, blob, off, dims, total, eb, lo, hi)
+	recon, dims, err := pc.decompress(ctx, dev, blob, off, dims, total, eb, lo, hi)
+	if err != nil && !errors.Is(err, ErrCorrupt) {
+		// The predictor and pipeline decoders judge wire bytes, so what
+		// they reject (a bad outlier section, a bad lossless stream) is
+		// corruption too.
+		err = fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	return recon, dims, err
 }
 
 // clampPlanes clamps hi to dims[0] and checks that [lo, hi) is a

@@ -16,14 +16,9 @@
 package core
 
 import (
+	"fmt"
 	"io"
 )
-
-// maxFrameHeaderBytes bounds a chunk frame header (offset + up to 8 dim
-// uvarints + codec-mode byte + codec-ID byte (v5) + 8-byte range +
-// payload-length uvarint + CRC), so the recovery scan can fetch one
-// header with a single small read.
-const maxFrameHeaderBytes = 96
 
 // FooterState classifies what follows the last CRC-valid frame of a
 // scanned container.
@@ -76,64 +71,42 @@ func (r *RecoveryInfo) Sealed() bool {
 	return r.Footer == FooterValid
 }
 
-// byteCounter counts the bytes an io.Reader delivers, so the scan learns
-// the variable-length global header's size.
-type byteCounter struct {
-	r io.Reader
-	n int64
-}
-
-func (c *byteCounter) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // ScanRecovery walks the chunked (v2–v5) container held by src (size
 // bytes long) from the front, verifying every frame header and payload
-// CRC, and reports the longest contiguous valid prefix. It never writes;
-// repair and append tooling act on its report. Corrupt or non-chunked
-// prefixes fail with ErrCorrupt; a well-formed header with zero valid
-// frames is a successful scan of an empty prefix.
+// CRC, and reports the longest contiguous valid prefix: its policy is to
+// stop at the first bad frame. It never writes; repair and append tooling
+// act on its report. Corrupt or non-chunked prefixes fail with
+// ErrCorrupt; a well-formed header with zero valid frames is a successful
+// scan of an empty prefix.
 func ScanRecovery(src io.ReaderAt, size int64) (*RecoveryInfo, error) {
-	cr := &byteCounter{r: io.NewSectionReader(src, 0, size)}
-	h, err := ReadChunkedHeader(cr)
+	ver, h, headerLen, err := OpenChunked(src, size)
 	if err != nil {
 		return nil, err
 	}
-	rec := &RecoveryInfo{Header: h, HeaderLen: cr.n, FramesEnd: cr.n, Size: size}
-	// The header's plane count is stale after a crash: scan against a
+	if h == nil {
+		return nil, fmt.Errorf("core: not a chunked container (version %d)", ver)
+	}
+	rec := &RecoveryInfo{Header: h, HeaderLen: headerLen, FramesEnd: headerLen, Size: size}
+	// The header's plane count is stale after a crash: walk against a
 	// relaxed copy so frames appended past the last seal still validate.
 	// dims[1:], the chunk thickness and the frame layout stay binding.
 	hScan := *h
 	hScan.Dims = append([]int(nil), h.Dims...)
 	hScan.Dims[0] = 1 << 31
-	var buf [maxFrameHeaderBytes]byte
-	off := rec.HeaderLen
-	for len(rec.Entries) < maxChunks && off < size {
-		want := min(int64(len(buf)), size-off)
-		if err := ReadFullAt(src, buf[:want], off); err != nil {
-			break
+	w := WalkAt(&hScan, src, size, headerLen)
+	// The first bad frame ends the valid prefix; why it is bad is moot.
+	_ = w.Walk(maxChunks, func(f Frame) error {
+		if f.PayLen == 0 {
+			return ErrCorrupt // no codec emits an empty payload: junk, not a frame
 		}
-		c, payStart, plen, err := ScanFrameHeader(buf[:want], &hScan)
-		if err != nil || c.Offset != rec.Planes || plen == 0 {
-			break // no codec emits an empty payload: junk, not a frame
+		if err := w.VerifyCRC(f); err != nil {
+			return err
 		}
-		payOff := off + int64(payStart)
-		if payOff+int64(plen) > size {
-			break // the frame's payload runs past EOF: a torn tail
-		}
-		crc, err := CRC32At(src, payOff, int64(plen))
-		if err != nil || crc != c.Checksum {
-			break
-		}
-		rec.Entries = append(rec.Entries, IndexEntry{
-			FrameOff: off, PlaneOff: c.Offset, Planes: c.Dims[0], Codec: c.CodecID})
-		rec.Modes = append(rec.Modes, c.CodecMode)
-		rec.Planes += c.Dims[0]
-		off = payOff + int64(plen)
-		rec.FramesEnd = off
-	}
+		rec.Entries = append(rec.Entries, f.Entry)
+		rec.Modes = append(rec.Modes, f.Info.CodecMode)
+		rec.Planes, rec.FramesEnd = w.Planes, w.Off
+		return nil
+	})
 	if h.Version >= version4 {
 		rec.Footer = footerState(src, rec)
 	}
@@ -141,44 +114,27 @@ func ScanRecovery(src io.ReaderAt, size int64) (*RecoveryInfo, error) {
 }
 
 // footerState checks whether a valid chunk-index footer seals exactly the
-// scanned frames: the fixed tail's backpointer must land on the frame
-// boundary, the index body must CRC and parse against the scanned plane
-// coverage, and every entry must match the scan.
+// scanned frames: loaded against the plane coverage the scan proved, its
+// entries must match the scanned frames one for one and its backpointer
+// must land on their end.
 func footerState(src io.ReaderAt, rec *RecoveryInfo) FooterState {
 	if rec.Size == rec.FramesEnd {
 		return FooterMissing
 	}
-	// Minimal footer: a 1-byte count, 3 bytes of entry, CRC and tail.
-	if len(rec.Entries) == 0 || rec.Size-rec.FramesEnd < IndexTailLen+5 {
+	if len(rec.Entries) == 0 {
 		return FooterTorn
 	}
-	regionLen := rec.Size - IndexTailLen - rec.FramesEnd
-	if regionLen > int64(len(rec.Entries))*30+64 {
-		return FooterTorn // wildly oversized for an index: a torn tail
-	}
-	var tail [IndexTailLen]byte
-	if ReadFullAt(src, tail[:], rec.Size-IndexTailLen) != nil {
-		return FooterTorn
-	}
-	footerOff, err := ParseChunkIndexTail(tail[:])
-	if err != nil || footerOff != rec.FramesEnd {
-		return FooterTorn
-	}
-	region := make([]byte, regionLen)
-	if ReadFullAt(src, region, footerOff) != nil {
-		return FooterTorn
-	}
-	// Parse against what the scan proved, not the (possibly stale) header.
+	// Load against what the scan proved, not the (possibly stale) header.
 	hEff := *rec.Header
 	hEff.Dims = append([]int(nil), rec.Header.Dims...)
 	hEff.Dims[0] = rec.Planes
 	hEff.NumChunks = len(rec.Entries)
-	entries, err := ParseChunkIndex(region, &hEff, footerOff)
-	if err != nil {
+	entries, framesEnd, err := LoadIndex(src, rec.Size, &hEff, rec.HeaderLen)
+	if err != nil || framesEnd != rec.FramesEnd {
 		return FooterTorn
 	}
 	for i, e := range entries {
-		if e != rec.Entries[i] {
+		if checkEntry(e, rec.Entries[i]) != nil {
 			return FooterTorn
 		}
 	}

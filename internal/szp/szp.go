@@ -41,14 +41,6 @@ const (
 // batch slots, persistent across Reset so steady-state appends never grow).
 var chunksKey = arena.NewAuxKey()
 
-// Batched selects the uint64-packed block payload I/O (the default): whole
-// blocks write and read their fixed-width deltas through the packed bitio
-// kernels instead of one WriteBits/ReadBits call per value. The scalar
-// reference path stays selectable so the equivalence property tests can
-// assert byte-identical containers. Toggle only from tests, before any
-// launch.
-var Batched = true
-
 // encChunk is one chunk's persistent encode scratch: its packed payload
 // writer and outlier collectors. Exactly one kernel invocation touches a
 // given chunk slot per launch, so the slots need no locking.
@@ -100,11 +92,14 @@ func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, eb float64)
 					qi = latticeCap
 				case q < -float64(latticeCap):
 					qi = -latticeCap
+				case math.IsNaN(q):
+					qi = prev // NaN: a finite lattice stand-in, stored as an outlier below
 				default:
 					qi = int64(q)
 				}
 				recon := float32(float64(qi) * twoEB)
-				if math.Abs(float64(data[i])-float64(recon)) > eb {
+				// Negated so that a NaN error fails the bound too.
+				if !(math.Abs(float64(data[i])-float64(recon)) <= eb) {
 					co.outPos = append(co.outPos, i)
 					co.outVal = append(co.outVal, data[i])
 				}
@@ -125,13 +120,7 @@ func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, eb float64)
 			}
 			w.WriteBit(1)
 			w.WriteBits(uint64(width), 6)
-			if Batched {
-				w.WritePacked64(deltas[:hi-lo], width)
-			} else {
-				for i := lo; i < hi; i++ {
-					w.WriteBits(deltas[i-lo], width)
-				}
-			}
+			w.WritePacked64(deltas[:hi-lo], width)
 		}
 	})
 	totalOut := 0
@@ -296,26 +285,15 @@ func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float32, 
 			if err != nil || w64 == 0 || w64 > 63 {
 				return
 			}
-			if Batched {
-				var zs [blockVals]uint64
-				z := zs[:hi-lo]
-				if r.ReadPacked64(z, uint(w64)) != nil {
-					return
-				}
-				o := out[lo:hi:hi]
-				for i := range z {
-					prev += bitio.UnZigZag(z[i])
-					o[i] = float32(float64(prev) * twoEB)
-				}
-				continue
+			var zs [blockVals]uint64
+			z := zs[:hi-lo]
+			if r.ReadPacked64(z, uint(w64)) != nil {
+				return
 			}
-			for i := lo; i < hi; i++ {
-				z, err := r.ReadBits(uint(w64))
-				if err != nil {
-					return
-				}
-				prev += bitio.UnZigZag(z)
-				out[i] = float32(float64(prev) * twoEB)
+			o := out[lo:hi:hi]
+			for i := range z {
+				prev += bitio.UnZigZag(z[i])
+				o[i] = float32(float64(prev) * twoEB)
 			}
 		}
 		ok[c] = 1

@@ -190,3 +190,37 @@ func TestAllocsWarmCtx(t *testing.T) {
 		t.Fatalf("steady-state decompress allocates %v/op, want <= 4", decomp)
 	}
 }
+
+// TestNaNRoundTrip: a NaN input is stored as an outlier and decodes as
+// NaN, and every finite value around it keeps the bound. A NaN used to
+// take the lattice value int64(NaN), whose delta overflowed the 6-bit
+// block width, so the container could not be read back.
+func TestNaNRoundTrip(t *testing.T) {
+	const eb = 1e-3
+	data := make([]float32, 4096)
+	for i := range data {
+		data[i] = float32(math.Sin(float64(i) * 0.01))
+	}
+	nan := float32(math.NaN())
+	for _, i := range []int{0, 31, 32, 1001, 2047, 3000, 3001, 4095} {
+		data[i] = nan
+	}
+	blob, err := Compress(dev, data, eb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recon, err := Decompress(dev, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range data {
+		r := float64(recon[i])
+		if v != v {
+			if !math.IsNaN(r) {
+				t.Fatalf("NaN at %d decoded as %v", i, r)
+			}
+		} else if !(math.Abs(float64(v)-r) <= eb) {
+			t.Fatalf("bound violated at %d: %v vs %v", i, v, r)
+		}
+	}
+}
