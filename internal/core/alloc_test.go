@@ -171,3 +171,30 @@ func TestCtxNoAliasingBetweenFields(t *testing.T) {
 		t.Fatalf("field A reconstruction out of bound at %d", i)
 	}
 }
+
+// TestCompressExactSize checks that a one-shot container is one allocation
+// of exactly its length, for every assembly and for fields with and
+// without outliers.
+func TestCompressExactSize(t *testing.T) {
+	dims := []int{20, 24, 28}
+	smooth := rampField(20 * 24 * 28)
+	noise := make([]float32, len(smooth))
+	for i := range noise {
+		noise[i] = float32(i*7919%1013) / 1013
+	}
+	for _, mode := range []string{"hi-cr", "hi-tp", "cusz-i", "cusz-ib", "cusz-l"} {
+		opts, err := ModeOptions(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range map[string][]float32{"smooth": smooth, "noise": noise} {
+			blob, err := CompressCtx(arena.NewCtx(), gpusim.New(1), data, dims, 1e-4, opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", mode, name, err)
+			}
+			if len(blob) != cap(blob) {
+				t.Fatalf("%s %s: container is %d bytes in a %d-byte allocation", mode, name, len(blob), cap(blob))
+			}
+		}
+	}
+}

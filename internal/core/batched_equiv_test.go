@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/gpusim"
-	"repro/internal/interp"
 	"repro/internal/lccodec"
 	"repro/internal/lorenzo"
 	"repro/internal/metrics"
@@ -16,9 +15,10 @@ import (
 
 // setBatchedKernels flips every package-level batched-kernel toggle at
 // once, selecting either the wide fast paths or their scalar references.
+// The interpolation kernels have no toggle: internal/interp's equivalence
+// tests pin them to its per-point reference walk.
 func setBatchedKernels(v bool) {
 	lorenzo.Batched = v
-	interp.Batched = v
 	lccodec.Batched = v
 	szx.Batched = v
 }

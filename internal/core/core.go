@@ -42,8 +42,8 @@ var (
 )
 
 // predictorEntry is one registered lossy decomposition stage. compress
-// appends the predictor header and payload to the container under
-// construction; decompress resumes at blob[off:], just past the shared
+// appends the predictor header to the container prefix under construction
+// and returns the finished container (finishContainer); decompress resumes at blob[off:], just past the shared
 // container header, and returns planes [lo, hi) of dims[0].
 type predictorEntry struct {
 	compress   func(ctx *arena.Ctx, dev *gpusim.Device, out []byte, data []float32, dims []int, eb float64, opts Options) ([]byte, error)
@@ -301,9 +301,9 @@ func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, dims []int,
 	if total != len(data) {
 		return nil, fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
 	}
-	// One generous allocation for the container; appends below should stay
-	// within it for typical ratios, keeping steady-state allocs flat.
-	out := make([]byte, 0, len(data)/2+4096)
+	// Header and predictor sections go into the context's prefix buffer;
+	// the predictor then makes the container once its payload is known.
+	out := prefixBuf(ctx)[:0]
 	out = append(out, magic[:]...)
 	out = append(out, version, byte(opts.Predictor))
 	out = bitio.AppendUvarint(out, uint64(len(dims)))
@@ -316,6 +316,36 @@ func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, dims []int,
 		return nil, fmt.Errorf("core: unknown predictor %d", opts.Predictor)
 	}
 	return pc.compress(ctx, dev, out, data, dims, eb, opts)
+}
+
+// prefixKey holds each context's container-prefix buffer.
+var prefixKey = arena.NewAuxKey()
+
+// prefixBuf returns ctx's container-prefix buffer (nil without a context):
+// the header and predictor sections are appended to it before the payload
+// is known, so that the container itself can be made at its exact size.
+func prefixBuf(ctx *arena.Ctx) []byte {
+	if p, ok := ctx.Aux(prefixKey).(*[]byte); ok {
+		return *p
+	}
+	return nil
+}
+
+// finishContainer returns the container prefix, then the payload's length
+// and the payload, in one allocation of exactly its size. prefix goes back
+// to ctx for the next container.
+func finishContainer(ctx *arena.Ctx, prefix, payload []byte) []byte {
+	out := make([]byte, 0, len(prefix)+bitio.UvarintLen(uint64(len(payload)))+len(payload))
+	out = append(out, prefix...)
+	out = bitio.AppendUvarint(out, uint64(len(payload)))
+	out = append(out, payload...)
+	p, ok := ctx.Aux(prefixKey).(*[]byte)
+	if !ok {
+		p = new([]byte)
+		ctx.SetAux(prefixKey, p)
+	}
+	*p = prefix[:0]
+	return out
 }
 
 // encodeCodes runs the lossless pipeline over the quant codes. freq, when
@@ -394,8 +424,7 @@ func compressInterp(ctx *arena.Ctx, dev *gpusim.Device, out []byte, data []float
 	if err != nil {
 		return nil, err
 	}
-	out = bitio.AppendUvarint(out, uint64(len(payload)))
-	return append(out, payload...), nil
+	return finishContainer(ctx, out, payload), nil
 }
 
 func compressLorenzo(ctx *arena.Ctx, dev *gpusim.Device, out []byte, data []float32, dims []int, eb float64, opts Options) ([]byte, error) {
@@ -418,8 +447,7 @@ func compressLorenzo(ctx *arena.Ctx, dev *gpusim.Device, out []byte, data []floa
 	if err != nil {
 		return nil, err
 	}
-	out = bitio.AppendUvarint(out, uint64(len(payload)))
-	return append(out, payload...), nil
+	return finishContainer(ctx, out, payload), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -11,23 +11,23 @@ import (
 // compression, decompression and auto-tuning. A block covers the inclusive
 // coordinate ranges [lo, hi] per dimension (neighbouring blocks share their
 // boundary faces, like the CUDA shared-memory chunks of Fig. 1/3), keeps a
-// local reconstruction buffer, and walks the levels coarse-to-fine. Each
-// stride-row of new points is predicted as a whole: predictRow evaluates
-// the row's constant direction formulas over its interior, and the at most
-// three halo points at the x ends take term sets of their own, built with
-// the row's and cached with them. Compression and tuning then hand the row
-// to a row sink (quantize-and-store, accumulate-error). Decompression
-// keeps the block's codes in a tile laid out like the buffer, writes each
-// row's dequantized values straight into the buffer in one fused pass,
-// and copies the owned rows out once the block is done, the way cuSZ-Hi's
-// decoder reconstructs a block in shared memory before storing it.
-
-// Batched selects the stride-row prediction kernel (the default). The
-// per-point scalar predict path stays selectable so the equivalence
-// property tests can assert byte-identical codes, outliers and
-// reconstructions between the two. Toggle only from tests, before any
-// launch.
-var Batched = true
+// local reconstruction buffer and a code tile laid out like it, and walks
+// the levels coarse-to-fine, one stride-row at a time. Along a row only
+// the x direction's neighbour availability varies, so the row interior
+// shares one term set, and the at most three halo points at the x ends
+// take term sets of their own, built with the row's and cached with them.
+//
+// Compression makes one fused pass over each group of rows that share a
+// term set: each point's prediction is evaluated straight from the
+// buffer, quantized against the field value, and its reconstruction and
+// code are stored in the buffer and the tile.
+// Decompression copies the block's codes into the tile, predicts each row
+// and writes its dequantized values straight into the buffer in one fused
+// pass. Either way the owned rows leave the block once it is done (codes
+// with their histogram and outliers, or reconstructions), the way
+// cuSZ-Hi's kernels (§5.1) work on a block in shared memory before
+// storing it. Auto-tuning walks the same rows over a buffer of original
+// values and sums the prediction errors.
 
 // dimClass constrains one coordinate of a phase's point set.
 type dimClass uint8
@@ -90,8 +90,8 @@ type block struct {
 	ohi     [3]int // exclusive upper owner bounds
 	ext     [3]int // local extents (hi-lo+1)
 	buf     []float32
-	preds   []float32 // one stride-row's predictions, then reconstructions
-	codes   []uint8   // one stride-row's quant codes (compression)
+	tile    []uint8   // the block's quant codes, laid out like buf
+	preds   []float32 // one stride-row's predictions
 	anchors []float32 // dense global anchor grid
 	az      [3]int    // anchor grid dims
 
@@ -102,10 +102,14 @@ type block struct {
 	haloAt [3]int
 	nHalo  int
 
-	// Decompression state (see decode): the block's codes laid out like
-	// buf, the code-to-offset table, the outlier list, and whether an
-	// outlier code had no value in it.
-	tile []uint8
+	// Compression and tuning state: the field, and the bound (compression)
+	// or the summed absolute prediction error (tuning).
+	data    []float32
+	twoEB   float64
+	tuneErr float64
+
+	// Decompression state (see decode): the code-to-offset table, the
+	// outlier list, and whether an outlier code had no value in it.
 	deq  *[256]float64
 	outl *quant.Outliers
 	miss bool
@@ -147,25 +151,18 @@ func (b *block) initBlock(g Grid, cfg *Config, bz, by, bx int) {
 	need := b.ext[0] * b.ext[1] * b.ext[2]
 	if cap(b.buf) < need {
 		b.buf = make([]float32, need)
-	} else {
-		b.buf = b.buf[:need]
+		b.tile = make([]uint8, need)
 	}
+	b.buf, b.tile = b.buf[:need], b.tile[:need]
 	// A stride-row holds at most ext[2] points.
 	if cap(b.preds) < b.ext[2] {
 		b.preds = make([]float32, b.ext[2])
-		b.codes = make([]uint8, b.ext[2])
 	}
 }
 
 // local returns the index into buf for global coords.
 func (b *block) local(z, y, x int) int {
 	return ((z-b.lo[0])*b.ext[1]+(y-b.lo[1]))*b.ext[2] + (x - b.lo[2])
-}
-
-// owns reports whether this block is the unique emitter for the point.
-func (b *block) owns(z, y, x int) bool {
-	return z < b.ohi[0] && y < b.ohi[1] && x < b.ohi[2] &&
-		z >= b.lo[0] && y >= b.lo[1] && x >= b.lo[2]
 }
 
 // anchorAt reads the dense anchor grid at global coords (multiples of the
@@ -175,131 +172,24 @@ func (b *block) anchorAt(z, y, x int) float32 {
 	return b.anchors[((z/a)*b.az[1]+(y/a))*b.az[2]+(x/a)]
 }
 
-// loadAnchors copies the block's anchor points into buf and reports them to
-// visitAnchor (used by decompression to emit them into the output).
-func (b *block) loadAnchors(visitAnchor func(z, y, x int, v float32)) {
+// loadAnchors copies the block's anchor points into buf and seeds their
+// tile entries with ZeroCode, the code every anchor carries.
+func (b *block) loadAnchors() {
 	a := b.cfg.AnchorStride
 	for z := b.lo[0]; z <= b.hi[0]; z += a {
 		for y := b.lo[1]; y <= b.hi[1]; y += a {
 			for x := b.lo[2]; x <= b.hi[2]; x += a {
-				v := b.anchorAt(z, y, x)
-				b.buf[b.local(z, y, x)] = v
-				if visitAnchor != nil {
-					visitAnchor(z, y, x, v)
-				}
+				l := b.local(z, y, x)
+				b.buf[l] = b.anchorAt(z, y, x)
+				b.tile[l] = quant.ZeroCode
 			}
 		}
 	}
-}
-
-// interp1 performs a 1-D midpoint interpolation from up to four neighbours
-// at -3s, -s, +s, +3s (a, p, q, d) with availability flags, returning the
-// prediction and its spline order (3 cubic, 2 quadratic, 1 linear,
-// 0 extrapolation/copy).
-//
-//cuszhi:hotpath
-func interp1(a, p, q, d float32, ha, hp, hq, hd bool, spline Spline) (float32, int) {
-	switch {
-	case hp && hq:
-		if spline == Cubic {
-			switch {
-			case ha && hd:
-				return (-a + 9*p + 9*q - d) / 16, 3
-			case ha:
-				return (-a + 6*p + 3*q) / 8, 2
-			case hd:
-				return (3*p + 6*q - d) / 8, 2
-			}
-		}
-		return (p + q) / 2, 1
-	case hp:
-		if ha {
-			return (3*p - a) / 2, 0
-		}
-		return p, 0
-	case hq:
-		if hd {
-			return (3*q - d) / 2, 0
-		}
-		return q, 0
-	}
-	return 0, 0
 }
 
 // strides returns buf's element stride along each dimension.
 func (b *block) strides() [3]int {
 	return [3]int{b.ext[1] * b.ext[2], b.ext[2], 1}
-}
-
-// predict computes the multi-(or single-)dimensional prediction for the
-// point at global coords g, interpolating along dims with stride s and
-// averaging only the highest-order directional predictions (§5.1.2).
-// idx is the point's precomputed local buffer index.
-//
-//cuszhi:hotpath
-func (b *block) predict(gz, gy, gx, idx, s int, dims []int, spline Spline) float32 {
-	gc := [3]int{gz, gy, gx}
-	st := b.strides()
-	// Interior fast path: when every interpolation direction has all four
-	// cubic neighbours inside the block (the vast majority of points), each
-	// direction yields the order-3 prediction, so the general flag/order
-	// bookkeeping below collapses to a branch-free average. 1.0/16 is a
-	// power of two, so the result is bit-identical to the /16 general path.
-	if spline == Cubic {
-		var sum float32
-		n := 0
-		for _, d := range dims {
-			c := gc[d]
-			if c-3*s < b.lo[d] || c+3*s > b.hi[d] {
-				n = -1
-				break
-			}
-			step := s * st[d]
-			sum += (-b.buf[idx-3*step] + 9*b.buf[idx-step] + 9*b.buf[idx+step] - b.buf[idx+3*step]) * (1.0 / 16)
-			n++
-		}
-		if n > 0 {
-			return sum / float32(n)
-		}
-	}
-	bestOrder := -1
-	var sum float32
-	var cnt int
-	for _, d := range dims {
-		c := gc[d]
-		step := s * st[d]
-		var a, p, q, dd float32
-		var ha, hp, hq, hd bool
-		if c-s >= b.lo[d] {
-			hp = true
-			p = b.buf[idx-step]
-		}
-		if c-3*s >= b.lo[d] {
-			ha = true
-			a = b.buf[idx-3*step]
-		}
-		if c+s <= b.hi[d] {
-			hq = true
-			q = b.buf[idx+step]
-		}
-		if c+3*s <= b.hi[d] {
-			hd = true
-			dd = b.buf[idx+3*step]
-		}
-		pred, order := interp1(a, p, q, dd, ha, hp, hq, hd, spline)
-		if order > bestOrder {
-			bestOrder = order
-			sum = pred
-			cnt = 1
-		} else if order == bestOrder {
-			sum += pred
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return sum / float32(cnt)
 }
 
 // stencil names one direction's interpolation formula: the case interp1
@@ -318,8 +208,9 @@ const (
 	stNone                   // 0, order 0
 )
 
-// stencilFor mirrors interp1's case analysis: it returns the formula
-// interp1 evaluates for these availability flags, and its spline order.
+// stencilFor mirrors the case analysis of interp1, the per-point reference
+// interpolation in the equivalence tests: it returns the formula interp1
+// evaluates for these availability flags, and its spline order.
 func stencilFor(ha, hp, hq, hd bool, spline Spline) (stencil, int) {
 	switch {
 	case hp && hq:
@@ -519,20 +410,30 @@ func (b *block) predictHalo(preds []float32, idx0, xstep int) {
 	}
 }
 
-// rowSink consumes one stride-row of predicted points. Point i sits at
-// global coords (z, y, x0+i*xstep) with prediction preds[i]. The block owns
-// exactly the first nOwn points: ownership along x is x < ohi[2], so owned
-// points always form a prefix. The sink replaces every preds[i] with the
-// point's reconstruction, which runLevel then stores in the block buffer.
-type rowSink func(z, y, x0, xstep int, preds []float32, nOwn int)
+// walkMode selects what runLevel does with each stride-row.
+type walkMode uint8
+
+const (
+	// compressWalk quantizes each point against the field value, storing
+	// its reconstruction in buf and its code in the tile.
+	compressWalk walkMode = iota
+	// decompressWalk dequantizes each point's tile code into buf.
+	decompressWalk
+	// tuneWalk adds each point's absolute prediction error to tuneErr and
+	// leaves buf, which holds the original values, as it is.
+	tuneWalk
+)
 
 // runLevel walks one interpolation level (stride s of the new points) with
 // the given level config in deterministic phase order. No point of a phase
-// is a neighbour of another point of the same phase, so a whole row is
-// predicted before any of it is reconstructed. Each row's predictions go
-// to sink, or, with a nil sink, through dequantRow's fused
-// dequantize-and-store pass over the block's code tile.
-func (b *block) runLevel(s int, lc LevelConfig, sink rowSink) {
+// is a neighbour of another point of the same phase, so a point's
+// reconstruction may be stored before the rest of its phase is predicted.
+// Compression hands the rows that share terms to compressRows together, so
+// a phase without a y (or z) direction takes one fused pass per z-plane
+// (or y) rather than one per row. Decompression and tuning go row by row: the row is
+// predicted, then decompression runs dequantRow's fused
+// dequantize-and-store pass over the tile and tuning sums its errors.
+func (b *block) runLevel(s int, lc LevelConfig, mode walkMode) {
 	st := b.strides()
 	reach := s // how far a direction's neighbours lie from the point
 	if lc.Spline == Cubic {
@@ -562,8 +463,7 @@ func (b *block) runLevel(s int, lc LevelConfig, sink rowSink) {
 		}
 		x0, xstep := start[2], step[2]
 		n := (b.hi[2]-x0)/xstep + 1
-		nOwnX := min(n, max(0, (b.ohi[2]-x0+xstep-1)/xstep))
-		// Points [k0, k1) of each row run through predictRow: along them the
+		// Points [k0, k1) of each row share the row's terms: along them the
 		// x direction, when interpolated, has all its neighbours inside the
 		// block, so every direction's formula is constant. The halo points
 		// outside lie within reach of a block x end: k0 ≤ 1 and n−k1 ≤ 2
@@ -588,56 +488,145 @@ func (b *block) runLevel(s int, lc LevelConfig, sink rowSink) {
 		// through a y direction, so they are rebuilt, halo included, only
 		// when the coordinates they depend on change.
 		zDep, yDep := slices.Contains(ph.dims, 0), slices.Contains(ph.dims, 1)
+		terms := func(z, y int) {
+			if k0 < k1 {
+				b.rowTerms(&b.row, z, y, x0+k0*xstep, s, ph.dims, lc.Spline)
+			}
+			for h, i := range b.haloAt[:b.nHalo] {
+				b.rowTerms(&b.halo[h], z, y, x0+i*xstep, s, ph.dims, lc.Spline)
+			}
+		}
+		if mode == compressWalk {
+			// Rows that share terms are quantized together: with no y
+			// direction every row of a z-plane, with no z direction every
+			// row at one y, else one row at a time.
+			nz, ny := (b.hi[0]-start[0])/step[0]+1, (b.hi[1]-start[1])/step[1]+1
+			zrow, yrow := [2]int{step[0] * st[0], step[0] * b.g.Ny * b.g.Nx}, [2]int{step[1] * st[1], step[1] * b.g.Nx}
+			switch {
+			case !yDep:
+				for z := start[0]; z <= b.hi[0]; z += step[0] {
+					terms(z, start[1])
+					b.compressRows(z, start[1], x0, ny, yrow, k0, k1, xstep)
+				}
+			case !zDep:
+				for y := start[1]; y <= b.hi[1]; y += step[1] {
+					terms(start[0], y)
+					b.compressRows(start[0], y, x0, nz, zrow, k0, k1, xstep)
+				}
+			default:
+				for z := start[0]; z <= b.hi[0]; z += step[0] {
+					for y := start[1]; y <= b.hi[1]; y += step[1] {
+						terms(z, y)
+						b.compressRows(z, y, x0, 1, yrow, k0, k1, xstep)
+					}
+				}
+			}
+			continue
+		}
 		tz, ty := -1, -1 // the coordinates the current terms were built for
 		preds := b.preds[:n]
 		for z := start[0]; z <= b.hi[0]; z += step[0] {
-			zOwn := z < b.ohi[0]
 			for y := start[1]; y <= b.hi[1]; y += step[1] {
 				l0 := (z-b.lo[0])*st[0] + (y-b.lo[1])*st[1] + (x0 - b.lo[2])
-				if !Batched {
-					for i := range preds {
-						preds[i] = b.predict(z, y, x0+i*xstep, l0+i*xstep, s, ph.dims, lc.Spline)
-					}
-				} else {
-					kz, ky := 0, 0
-					if zDep {
-						kz = z
-					}
-					if yDep {
-						ky = y
-					}
-					if kz != tz || ky != ty {
-						if k0 < k1 {
-							b.rowTerms(&b.row, z, y, x0+k0*xstep, s, ph.dims, lc.Spline)
-						}
-						for h, i := range b.haloAt[:b.nHalo] {
-							b.rowTerms(&b.halo[h], z, y, x0+i*xstep, s, ph.dims, lc.Spline)
-						}
-						tz, ty = kz, ky
-					}
-					if k0 < k1 {
-						b.predictRow(preds[k0:k1], l0+k0*xstep, xstep, b.row.init, b.row.terms())
-					}
-					if b.nHalo > 0 {
-						b.predictHalo(preds, l0, xstep)
-					}
+				kz, ky := 0, 0
+				if zDep {
+					kz = z
 				}
-				if sink == nil {
-					if b.dequantRow(preds, l0, xstep) {
-						b.fixOutliers(n, l0, xstep, z, y, x0)
-					}
-					continue
+				if yDep {
+					ky = y
 				}
-				nOwn := 0
-				if zOwn && y < b.ohi[1] {
-					nOwn = nOwnX
+				if kz != tz || ky != ty {
+					terms(z, y)
+					tz, ty = kz, ky
 				}
-				sink(z, y, x0, xstep, preds, nOwn)
-				for i, v := range preds {
-					b.buf[l0+i*xstep] = v
+				if k0 < k1 {
+					b.predictRow(preds[k0:k1], l0+k0*xstep, xstep, b.row.init, b.row.terms())
+				}
+				if b.nHalo > 0 {
+					b.predictHalo(preds, l0, xstep)
+				}
+				if mode == tuneWalk {
+					b.tuneRow(preds, b.g.flat(z, y, x0), xstep)
+				} else if b.dequantRow(preds, l0, xstep) {
+					b.fixOutliers(n, l0, xstep, z, y, x0)
 				}
 			}
 		}
+	}
+}
+
+// compressRows quantizes m rows that share the current terms: row r
+// starts at global coords (z, y, x0) moved r times by row, a (buffer,
+// field) index step, and holds points xstep apart. The interior [k0, k1)
+// and each halo point run as one quantLattice pass over all m rows.
+func (b *block) compressRows(z, y, x0, m int, row [2]int, k0, k1, xstep int) {
+	l0, d0 := b.local(z, y, x0), b.g.flat(z, y, x0)
+	if k0 < k1 {
+		b.quantLattice(l0+k0*xstep, d0+k0*xstep, m, row, k1-k0, xstep, &b.row)
+	}
+	for h, i := range b.haloAt[:b.nHalo] {
+		b.quantLattice(l0+i*xstep, d0+i*xstep, m, row, 1, xstep, &b.halo[h])
+	}
+}
+
+// quantLattice is compression's fused pass over m rows of n points that
+// share the term set ts: point i of row r sits at buffer index
+// l0+r*row[0]+i*xstep and field index d0+r*row[1]+i*xstep. Its prediction
+// starts at ts.init, adds each term's formula, evaluated straight from
+// buf, and is divided by the term count when there are several: predictRow's
+// float op sequence. quant.TryQuantize quantizes it against the field
+// value, and the reconstruction goes to buf and the code to the tile.
+//
+//cuszhi:hotpath
+func (b *block) quantLattice(l0, d0, m int, row [2]int, n, xstep int, ts *termSet) {
+	buf, tile, data := b.buf, b.tile, b.data
+	twoEB, half := b.twoEB, b.twoEB/2
+	init, terms, nf := ts.init, ts.terms(), float32(ts.n)
+	span := n * xstep
+	for ; m > 0; m, l0, d0 = m-1, l0+row[0], d0+row[1] {
+		for j, d, end := l0, d0, d0+span; d < end; j, d = j+xstep, d+xstep {
+			p := init
+			for _, t := range terms {
+				o1, o3 := t.off, 3*t.off
+				switch t.kind {
+				case stCubic:
+					p += (-buf[j-o3] + 9*buf[j-o1] + 9*buf[j+o1] - buf[j+o3]) / 16
+				case stQuadA:
+					p += (-buf[j-o3] + 6*buf[j-o1] + 3*buf[j+o1]) / 8
+				case stQuadD:
+					p += (3*buf[j-o1] + 6*buf[j+o1] - buf[j+o3]) / 8
+				case stLinear:
+					p += (buf[j-o1] + buf[j+o1]) / 2
+				case stExtrapP:
+					p += (3*buf[j-o1] - buf[j-o3]) / 2
+				case stCopyP:
+					p += buf[j-o1]
+				case stExtrapQ:
+					p += (3*buf[j+o1] - buf[j+o3]) / 2
+				case stCopyQ:
+					p += buf[j+o1]
+				default: // stNone
+					p += 0
+				}
+			}
+			if len(terms) > 1 {
+				p /= nf
+			}
+			v := data[d]
+			if c, r, ok := quant.TryQuantize(v, float64(p), twoEB, half); ok {
+				buf[j], tile[j] = r, c
+				continue
+			}
+			buf[j], tile[j] = v, quant.OutlierCode
+		}
+	}
+}
+
+// tuneRow adds the row's absolute prediction errors, in point order, to
+// tuneErr: point i's value is data[d0+i*xstep].
+func (b *block) tuneRow(preds []float32, d0, xstep int) {
+	for i, p := range preds {
+		b.tuneErr += math.Abs(float64(b.data[d0+i*xstep]) - float64(p))
 	}
 }
 
@@ -678,16 +667,59 @@ func (b *block) fixOutliers(n, l0, xstep, z, y, x0 int) {
 	}
 }
 
+// encode quantizes the whole block against data with bound twoEB/2. Its
+// anchors must already be loaded. The owned codes then go row by row into
+// codes (the field's, natural layout) and into hist, and the owned
+// outliers, with their values, onto ol in ascending position order: only
+// rows whose OutlierCode count rose are searched for them.
+func (b *block) encode(data []float32, twoEB float64, codes []uint8, hist *codeHist, ol *quant.Outliers) {
+	b.data, b.twoEB = data, twoEB
+	b.run(compressWalk)
+	g := b.g
+	w := b.ohi[2] - b.lo[2]
+	nOut := hist.outliers()
+	for z := b.lo[0]; z < b.ohi[0]; z++ {
+		for y := b.lo[1]; y < b.ohi[1]; y++ {
+			f := g.flat(z, y, b.lo[2])
+			row := b.tile[b.local(z, y, b.lo[2]):][:w]
+			copy(codes[f:f+w], row)
+			i := 0
+			for ; i+4 <= len(row); i += 4 {
+				hist[0][row[i]]++
+				hist[1][row[i+1]]++
+				hist[2][row[i+2]]++
+				hist[3][row[i+3]]++
+			}
+			for ; i < len(row); i++ {
+				hist[0][row[i]]++
+			}
+			if n := hist.outliers(); n != nOut {
+				nOut = n
+				for x, c := range row {
+					if c == quant.OutlierCode {
+						ol.Append(f+x, data[f+x])
+					}
+				}
+			}
+		}
+	}
+	b.data = nil // a pooled block keeps no caller memory alive
+}
+
+// codeHist is a code histogram split four ways, so that a run of one code
+// spreads its increments over four counters instead of queueing on one.
+type codeHist [4][256]uint32
+
+// outliers returns the histogram's OutlierCode count.
+func (h *codeHist) outliers() uint32 {
+	return h[0][quant.OutlierCode] + h[1][quant.OutlierCode] + h[2][quant.OutlierCode] + h[3][quant.OutlierCode]
+}
+
 // decode reconstructs the whole block from codes (the field's, in natural
 // layout), deq (deq[c] = (c − ZeroCode)·2eb) and the outlier list. Its
 // anchors must already be loaded. b.miss reports an outlier code with no
 // value.
 func (b *block) decode(codes []uint8, deq *[256]float64, outl *quant.Outliers) {
-	need := len(b.buf)
-	if cap(b.tile) < need {
-		b.tile = make([]uint8, need)
-	}
-	b.tile = b.tile[:need]
 	w := b.ext[2]
 	for z := b.lo[0]; z <= b.hi[0]; z++ {
 		for y := b.lo[1]; y <= b.hi[1]; y++ {
@@ -695,7 +727,7 @@ func (b *block) decode(codes []uint8, deq *[256]float64, outl *quant.Outliers) {
 		}
 	}
 	b.deq, b.outl, b.miss = deq, outl, false
-	b.run(nil)
+	b.run(decompressWalk)
 	b.deq, b.outl = nil, nil // a pooled block keeps no caller memory alive
 }
 
@@ -712,10 +744,10 @@ func (b *block) storeOwned(out []float32, z0, z1 int) {
 }
 
 // run executes all levels coarse-to-fine.
-func (b *block) run(sink rowSink) {
+func (b *block) run(mode walkMode) {
 	li := 0
 	for s := b.cfg.AnchorStride / 2; s >= 1; s >>= 1 {
-		b.runLevel(s, b.cfg.PerLevel[li], sink)
+		b.runLevel(s, b.cfg.PerLevel[li], mode)
 		li++
 	}
 }

@@ -122,35 +122,14 @@ func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, g Grid, cfg
 		bk.initBlock(g, &cfg, bz, by, bx)
 		bk.anchors = res.Anchors
 		bk.az = [3]int{azd, ayd, axd}
-		// hist fuses the code histogram into the quantization sweep; each
-		// owned point contributes exactly one code, so summing the per-block
-		// histograms reproduces a full scan of res.Codes.
-		var hist [256]uint32
-		bk.loadAnchors(func(z, y, x int, v float32) {
-			if bk.owns(z, y, x) {
-				res.Codes[g.flat(z, y, x)] = quant.ZeroCode
-				hist[quant.ZeroCode]++
-			}
-		})
-		ol := &perBlockOutliers[bi]
-		bk.run(func(z, y, x0, xstep int, preds []float32, nOwn int) {
-			g0 := g.flat(z, y, x0)
-			codes := bk.codes[:len(preds)]
-			quant.QuantizeRow(preds, codes, data[g0:], xstep, twoEB)
-			for i, c := range codes[:nOwn] {
-				idx := g0 + i*xstep
-				res.Codes[idx] = c
-				hist[c]++
-				if c == quant.OutlierCode {
-					ol.Append(idx, data[idx])
-				}
-			}
-		})
+		bk.loadAnchors()
+		// Each owned point contributes exactly one code, so summing the
+		// per-block histograms reproduces a full scan of res.Codes.
+		var hist codeHist
+		bk.encode(data, twoEB, res.Codes, &hist, &perBlockOutliers[bi])
 		freqMu.Lock()
-		for c, n := range hist {
-			if n != 0 {
-				freq[c] += int64(n)
-			}
+		for c := range freq {
+			freq[c] += int64(hist[0][c]) + int64(hist[1][c]) + int64(hist[2][c]) + int64(hist[3][c])
 		}
 		freqMu.Unlock()
 	})
@@ -246,7 +225,7 @@ func DecompressPlanesCtx(ctx *arena.Ctx, dev *gpusim.Device, res *Result, g Grid
 		bk.initBlock(g, &cfg, bz, by, bx)
 		bk.anchors = res.Anchors
 		bk.az = [3]int{azd, ayd, axd}
-		bk.loadAnchors(nil)
+		bk.loadAnchors()
 		bk.decode(res.Codes, &sc.deq, res.Outliers)
 		if bk.miss {
 			sc.missing.Store(true)

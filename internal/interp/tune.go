@@ -72,24 +72,17 @@ func AutoTune(dev *gpusim.Device, data []float32, g Grid, cfg Config, sampleFrac
 		for li := range errs {
 			errs[li] = make([]float64, len(tuneCandidates))
 		}
-		var sum float64
-		sink := func(z, y, x0, xstep int, preds []float32, nOwn int) {
-			g0 := g.flat(z, y, x0)
-			for i, p := range preds {
-				v := data[g0+i*xstep]
-				sum += math.Abs(float64(v) - float64(p))
-				preds[i] = v // keep buf holding original values
-			}
-		}
+		bk.data = data
 		li := 0
 		for s := cfg.AnchorStride / 2; s >= 1; s >>= 1 {
 			for ci, cand := range tuneCandidates {
-				sum = 0
-				bk.runLevel(s, cand, sink)
-				errs[li][ci] = sum
+				bk.tuneErr = 0
+				bk.runLevel(s, cand, tuneWalk)
+				errs[li][ci] = bk.tuneErr
 			}
 			li++
 		}
+		bk.data = nil
 		return errs
 	}, func(a, b errMat) errMat {
 		for li := range a {

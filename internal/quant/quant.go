@@ -49,47 +49,34 @@ func Dequantize(code uint8, pred float32, twoEB float64) float32 {
 	return float32(float64(pred) + float64(int(code)-ZeroCode)*twoEB)
 }
 
-// QuantizeRow is Quantize over one stride-row, in place: point i has value
-// vals[i*step] and prediction preds[i]. On return preds[i] holds the
-// point's reconstruction and codes[i] its code (OutlierCode marks an
-// outlier). Every point's code, reconstruction and outlier flag are those
-// of Quantize, which stays the reference.
+// TryQuantize is Quantize's arithmetic for a fused predict-and-quantize
+// pass, with the prediction already widened to float64 and half =
+// twoEB/2: ok reports a point inside the code radius and the bound, with
+// its code and reconstruction. Otherwise the point is an outlier (code
+// OutlierCode, reconstruction val) and code and recon are meaningless.
+// Code, reconstruction and outlier flag are those of Quantize, which
+// stays the reference.
 //
-// Rounding is t + trunc(2(x-t)) with t = trunc(x): x-t is exact for every
-// finite x, so this rounds half away from zero like math.Round. It differs
-// from math.Round only at x = -0 (it gives +0) and at ±Inf (NaN); neither
-// changes the code, the reconstruction or the outlier flag. The bound
-// check is two compares instead of math.Abs. The loop is not call-free:
-// math.Trunc is a bare ROUNDSD only under GOAMD64=v2 or later. Under the
-// default v1 each use tests runtime.x86HasSSE41 and keeps a CALL
-// math.Trunc fallback, so i, j, v, p and x spill on every iteration.
-// Truncating through an integer conversion avoids the call but loses the
-// sign of a zero quotient, which Quantize keeps; restoring it (by
-// math.Copysign or the sign bit) measured no faster.
-//
-//cuszhi:hotpath
-func QuantizeRow(preds []float32, codes []uint8, vals []float32, step int, twoEB float64) {
-	n := len(preds)
-	preds = preds[:n:n]
-	codes = codes[:n:n]
-	half := twoEB / 2
-	for i, j := 0, 0; i < n; i, j = i+1, j+step {
-		v := vals[j]
-		p := float64(preds[i])
-		x := (float64(v) - p) / twoEB
-		t := math.Trunc(x)
-		q := t + math.Trunc(2*(x-t))
-		if q >= -Radius && q <= Radius {
-			r := float32(p + q*twoEB)
-			if e := float64(v) - float64(r); e <= half && e >= -half {
-				preds[i] = r
-				codes[i] = uint8(int(q) + ZeroCode)
-				continue
-			}
-		}
-		preds[i] = v
-		codes[i] = OutlierCode
-	}
+// Rounding adds the largest double below 0.5, with the sign of x, and
+// truncates: that is math.Round for every finite x, the sign of a zero
+// included, because a tie x = n+0.5 sums to within half a spacing of
+// n+1 (or, at x = 0.5, to a tie that rounds to even, 1) while anything
+// below a tie stays below n+1. NaN and ±Inf quotients fall outside the
+// radius as they do in Quantize. One math.Trunc is one ROUNDSD behind a
+// CPU-feature check under the default GOAMD64=v1, so the dependency chain
+// is shorter than that of t + trunc(2(x-t)) with t = trunc(x), which
+// needs two in a row; integer truncation measured slower than either.
+// The bound check is two compares instead of math.Abs, and the
+// reconstruction is formed before the range check; both keep the
+// function within the inlining budget. Callers branch on ok and store on
+// each branch (a value select, r := val; if ok { r = recon }, measured
+// 2× slower).
+func TryQuantize(val float32, pred, twoEB, half float64) (code uint8, recon float32, ok bool) {
+	x := (float64(val) - pred) / twoEB
+	q := math.Trunc(x + math.Float64frombits(math.Float64bits(x)&(1<<63)|0x3fdfffffffffffff))
+	r := float32(pred + q*twoEB)
+	e := float64(val) - float64(r)
+	return uint8(int(q) + ZeroCode), r, q >= -Radius && q <= Radius && e <= half && e >= -half
 }
 
 // ---------------------------------------------------------------------------

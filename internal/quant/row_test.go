@@ -6,6 +6,22 @@ import (
 	"testing"
 )
 
+// QuantizeRow is TryQuantize over one stride-row, in place: point i has
+// value vals[i*step] and prediction preds[i]. On return preds[i] holds the
+// point's reconstruction and codes[i] its code (OutlierCode marks an
+// outlier), stored the way the interpolation kernel's fused pass stores
+// them.
+func QuantizeRow(preds []float32, codes []uint8, vals []float32, step int, twoEB float64) {
+	for i, j := 0, 0; i < len(preds); i, j = i+1, j+step {
+		v := vals[j]
+		if c, r, ok := TryQuantize(v, float64(preds[i]), twoEB, twoEB/2); ok {
+			preds[i], codes[i] = r, c
+			continue
+		}
+		preds[i], codes[i] = v, OutlierCode
+	}
+}
+
 // rowCase is one (value, prediction) pair fed to the row quantizer.
 type rowCase struct{ val, pred float32 }
 
@@ -70,5 +86,35 @@ func TestQuantizeRowMatchesQuantize(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTryQuantizeBelowHalf pins the rounding at the largest quotient below
+// one half, 0.5 − 2⁻⁵⁴, where adding 0.5 itself before truncating would
+// round up: value ±d against prediction 0 at a bound just above 2d gives
+// exactly that quotient, which must quantize to code ZeroCode as in
+// Quantize.
+func TestTryQuantizeBelowHalf(t *testing.T) {
+	found := 0
+	for i := 1; i <= 256; i++ {
+		d := float64(i) / 64
+		twoEB := math.Nextafter(2*d, math.Inf(1))
+		if d/twoEB != 0.5-math.Ldexp(1, -54) {
+			continue
+		}
+		found++
+		for _, v := range []float32{float32(d), -float32(d)} {
+			code, recon, outlier := Quantize(v, 0, twoEB)
+			c, r, ok := TryQuantize(v, 0, twoEB, twoEB/2)
+			if !ok {
+				c, r = OutlierCode, v
+			}
+			if c != code || math.Float32bits(r) != math.Float32bits(recon) || !ok != outlier {
+				t.Fatalf("value %v, 2eb %v: TryQuantize gives (%d, %v), Quantize (%d, %v)", v, twoEB, c, r, code, recon)
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no value gave the quotient 0.5 − 2⁻⁵⁴")
 	}
 }
