@@ -94,7 +94,7 @@ func BenchmarkTable5(b *testing.B) {
 			b.SetBytes(int64(f.SizeBytes()))
 			var cr float64
 			for i := 0; i < b.N; i++ {
-				blob, err := core.Compress(bdev, f.Data, f.Dims, absEB, v)
+				blob, err := core.CompressCtx(nil, bdev, f.Data, f.Dims, absEB, v)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -122,7 +122,7 @@ func suite(quick bool) ([]bench, error) {
 	}
 
 	hfData := quantLike(hfN, 1)
-	hfEnc, err := huffman.EncodeBytes(dev, hfData)
+	hfEnc, err := huffman.EncodeBytesCtx(nil, dev, hfData, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func suite(quick bool) ([]bench, error) {
 	for _, c := range skewData {
 		skewFreq[c]++
 	}
-	skewEnc, err := huffman.EncodeBytes(dev, skewData)
+	skewEnc, err := huffman.EncodeBytesCtx(nil, dev, skewData, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +143,7 @@ func suite(quick bool) ([]bench, error) {
 		symData[i] = s
 		symFreq[s]++
 	}
-	symEnc, err := huffman.Encode(dev, symData, 1026)
+	symEnc, err := huffman.EncodeCtx(nil, dev, symData, 1026, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +165,7 @@ func suite(quick bool) ([]bench, error) {
 	}
 	sEB := metrics.AbsEB(sField.Data, 1e-2)
 	sOpts := core.HiTP()
-	sBlobSerial, err := core.Compress(dev, sField.Data, sField.Dims, sEB, sOpts)
+	sBlobSerial, err := core.CompressCtx(nil, dev, sField.Data, sField.Dims, sEB, sOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +315,7 @@ func suite(quick bool) ([]bench, error) {
 	ipCfg := interp.HiConfig()
 	// The reconstruct entry decodes an owned Result, which kCtx.Reset
 	// cannot clobber.
-	ipRes, err := interp.Compress(dev1, kField.Data, ipGrid, ipCfg, kEB)
+	ipRes, err := interp.CompressCtx(nil, dev1, kField.Data, ipGrid, ipCfg, kEB)
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +369,7 @@ func suite(quick bool) ([]bench, error) {
 			}},
 			bench{"backend/" + bb.name + "/decompress-4w", int64(sField.SizeBytes()), ratio, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, _, err := core.Decompress(dev4, bb.blob); err != nil {
+					if _, _, err := core.DecompressCtx(nil, dev4, bb.blob); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -408,21 +408,21 @@ func suite(quick bool) ([]bench, error) {
 		}},
 		{"stream/automode/decompress-4w", mixBytes, autoRatio, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Decompress(dev4, autoBlob); err != nil {
+				if _, _, err := core.DecompressCtx(nil, dev4, autoBlob); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"huffman/encode-bytes", int64(hfN), 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := huffman.EncodeBytes(dev, hfData); err != nil {
+				if _, err := huffman.EncodeBytesCtx(nil, dev, hfData, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"huffman/decode-bytes", int64(hfN), 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := huffman.DecodeBytes(dev, hfEnc); err != nil {
+				if _, err := huffman.DecodeBytesCtx(nil, dev, hfEnc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -481,7 +481,7 @@ func suite(quick bool) ([]bench, error) {
 		}},
 		{"stream/compress/serial", int64(sField.SizeBytes()), 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Compress(dev1, sField.Data, sField.Dims, sEB, sOpts); err != nil {
+				if _, err := core.CompressCtx(nil, dev1, sField.Data, sField.Dims, sEB, sOpts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -495,14 +495,14 @@ func suite(quick bool) ([]bench, error) {
 		}},
 		{"stream/decompress/serial", int64(sField.SizeBytes()), 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Decompress(dev1, sBlobSerial); err != nil {
+				if _, _, err := core.DecompressCtx(nil, dev1, sBlobSerial); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"stream/decompress/sharded-4w", int64(sField.SizeBytes()), 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Decompress(dev4, sBlobChunked); err != nil {
+				if _, _, err := core.DecompressCtx(nil, dev4, sBlobChunked); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -520,7 +520,7 @@ func suite(quick bool) ([]bench, error) {
 		}},
 		{"stream/readplanes/middle32-fulldecode", int64(4 * 32 * winPS), 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				recon, _, err := core.Decompress(dev4, v4Blob)
+				recon, _, err := core.DecompressCtx(nil, dev4, v4Blob)
 				if err != nil {
 					b.Fatal(err)
 				}

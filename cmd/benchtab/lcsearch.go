@@ -27,7 +27,7 @@ func lcsearch(dev *gpusim.Device) error {
 	if len(sample) > 1<<18 {
 		sample = sample[:1<<18]
 	}
-	results, err := lccodec.Search(dev, sample, nil, 3)
+	results, err := lccodec.SearchCtx(nil, dev, sample, nil, 3)
 	if err != nil {
 		return err
 	}

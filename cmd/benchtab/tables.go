@@ -115,7 +115,7 @@ func table5(dev *gpusim.Device) error {
 			absEB := metrics.AbsEB(f.Data, eb)
 			prev := 0.0
 			for i, v := range variants {
-				blob, err := core.Compress(dev, f.Data, f.Dims, absEB, v)
+				blob, err := core.CompressCtx(nil, dev, f.Data, f.Dims, absEB, v)
 				if err != nil {
 					return err
 				}

@@ -166,7 +166,7 @@ func (c *Compressor) CompressAbs(data []float32, dims []int, absEB float64) ([]b
 // Decompress decodes a container produced by any mode, returning the
 // reconstruction and its dims.
 func (c *Compressor) Decompress(blob []byte) ([]float32, []int, error) {
-	return core.Decompress(c.dev, blob)
+	return core.DecompressCtx(nil, c.dev, blob)
 }
 
 // Compress is a convenience one-shot using ModeCR.
@@ -180,7 +180,7 @@ func Compress(data []float32, dims []int, relEB float64) ([]byte, error) {
 
 // Decompress is a convenience one-shot decoder.
 func Decompress(blob []byte) ([]float32, []int, error) {
-	return core.Decompress(gpusim.Default, blob)
+	return core.DecompressCtx(nil, gpusim.Default, blob)
 }
 
 // Stats summarizes a compression run.

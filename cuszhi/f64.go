@@ -45,6 +45,8 @@ func (c *Compressor) CompressF64(data []float64, dims []int, relEB float64) ([]b
 }
 
 // CompressF64Abs encodes double-precision data under an absolute bound.
+// A finite double outside the float32 range is an error: its float32
+// stand-in would be ±Inf.
 func (c *Compressor) CompressF64Abs(data []float64, dims []int, absEB float64) ([]byte, error) {
 	if absEB <= 0 {
 		return nil, fmt.Errorf("cuszhi: absolute error bound %v must be positive", absEB)
@@ -62,6 +64,9 @@ func (c *Compressor) CompressF64Abs(data []float64, dims []int, absEB float64) (
 	f32 := make([]float32, len(data))
 	for i, v := range data {
 		f32[i] = float32(v)
+		if math.IsInf(float64(f32[i]), 0) && !math.IsInf(v, 0) {
+			return nil, fmt.Errorf("cuszhi: value %g at index %d is outside the float32 range", v, i)
+		}
 	}
 	// The float32 stage absorbs the remaining budget.
 	return c.CompressAbs(f32, dims, absEB-conv)

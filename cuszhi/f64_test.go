@@ -59,6 +59,20 @@ func TestF64BoundBelowPrecisionRejected(t *testing.T) {
 	}
 }
 
+// TestF64OutOfFloat32RangeRejected: a finite double the float32 core
+// cannot hold must be refused, not decoded as ±Inf under a nil error.
+func TestF64OutOfFloat32RangeRejected(t *testing.T) {
+	c, _ := New(ModeCR)
+	for _, big := range []float64{1e39, -1e39, math.MaxFloat64} {
+		data := []float64{big, 1, 2, 3}
+		blob, err := c.CompressF64Abs(data, []int{4}, 1e37)
+		if err == nil {
+			recon, _, _ := c.DecompressF64(blob)
+			t.Fatalf("%g at eb 1e37: nil error, decoded as %v", big, recon)
+		}
+	}
+}
+
 func TestF64Validation(t *testing.T) {
 	c, _ := New(ModeCR)
 	if _, err := c.CompressF64(nil, nil, 1e-3); err == nil {

@@ -64,7 +64,7 @@ func FuzzDecompress(f *testing.F) {
 		minV, maxV, _ := core.ShardRange(shard)
 		absEB := 0.01 * float64(maxV-minV)
 		shardDims := []int{2, 8, 8}
-		payload, err := core.Compress(gpusim.Default, shard, shardDims, absEB, lOpts)
+		payload, err := core.CompressCtx(nil, gpusim.Default, shard, shardDims, absEB, lOpts)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func FuzzDecompress(f *testing.F) {
 		shard := data[off*64 : (off+2)*64]
 		minV, maxV, _ := core.ShardRange(shard)
 		shardDims := []int{2, 8, 8}
-		payload, err := core.Compress(gpusim.Default, shard, shardDims, 0.05, lOpts)
+		payload, err := core.CompressCtx(nil, gpusim.Default, shard, shardDims, 0.05, lOpts)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -219,8 +219,9 @@ func TestRelativeEBConstantShardLowRangeField(t *testing.T) {
 // TestRelativeEBNaNValues: shards whose leading values (or all values) are
 // NaN must not abort relative-bound streaming — the replaced whole-file
 // pre-pass skipped NaNs when computing the range, and the per-shard scan
-// must too. (NaN payloads themselves are lossy, as they always were; the
-// guarantee is that finite values still meet the bound.)
+// must too. The bound contract (core's TestBoundContract) asks more of
+// every codec: a nil-error write decodes every finite value within the
+// bound, every NaN as NaN and every ±Inf as the same infinity.
 func TestRelativeEBNaNValues(t *testing.T) {
 	dims := []int{4, 4, 4}
 	data := make([]float32, 4*4*4)

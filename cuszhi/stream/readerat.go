@@ -315,7 +315,7 @@ func (r *ReaderAt) v1Field() ([]float32, error) {
 			r.v1err = core.ErrCorrupt
 			return
 		}
-		field, dims, err := core.Decompress(r.dev, blob)
+		field, dims, err := core.DecompressCtx(nil, r.dev, blob)
 		if err != nil {
 			r.v1err = err
 			return

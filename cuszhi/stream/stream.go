@@ -608,7 +608,7 @@ func NewReader(r io.Reader, opt ...Option) (*Reader, error) {
 		if err != nil {
 			return nil, err
 		}
-		recon, dims, err := core.Decompress(cfg.dev, blob)
+		recon, dims, err := core.DecompressCtx(nil, cfg.dev, blob)
 		if err != nil {
 			return nil, err
 		}
@@ -878,5 +878,5 @@ func CompressAbs(data []float32, dims []int, absEB float64, opt ...Option) ([]by
 // concurrently.
 func Decompress(blob []byte, opt ...Option) ([]float32, []int, error) {
 	cfg := newConfig(opt)
-	return core.Decompress(cfg.dev, blob)
+	return core.DecompressCtx(nil, cfg.dev, blob)
 }

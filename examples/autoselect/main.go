@@ -103,7 +103,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, err := lccodec.Search(dev, codes[:1<<16], []string{"HF", "RRE1", "RZE1", "TCMS1", "BIT1"}, 2)
+	results, err := lccodec.SearchCtx(nil, dev, codes[:1<<16], []string{"HF", "RRE1", "RZE1", "TCMS1", "BIT1"}, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

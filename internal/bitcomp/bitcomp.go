@@ -38,14 +38,9 @@ const (
 
 var rze = lccodec.MustParse("DIFFMS1-RZE1")
 
-// Compress encodes src.
-func Compress(dev *gpusim.Device, src []byte) ([]byte, error) {
-	return CompressCtx(nil, dev, src)
-}
-
-// CompressCtx is Compress drawing pipeline stage buffers from a reusable
-// codec context (nil behaves like Compress). The returned stream is a
-// fresh allocation owned by the caller.
+// CompressCtx encodes src, drawing pipeline stage buffers from ctx (nil
+// allocates). The returned stream is a fresh allocation owned by the
+// caller.
 func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, src []byte) ([]byte, error) {
 	enc, err := rze.EncodeCtx(ctx, dev, src)
 	if err != nil {
@@ -63,13 +58,8 @@ func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, src []byte) ([]byte, error)
 	return append(out, body...), nil
 }
 
-// Decompress reverses Compress.
-func Decompress(dev *gpusim.Device, data []byte) ([]byte, error) {
-	return DecompressCtx(nil, dev, data)
-}
-
-// DecompressCtx is Decompress with a reusable context. With a non-nil ctx
-// the returned stream is context scratch, valid until the next ctx.Reset.
+// DecompressCtx reverses CompressCtx. With a non-nil ctx the returned
+// stream is context scratch, valid until the next ctx.Reset.
 //
 //cuszhi:hotpath
 func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []byte) ([]byte, error) {
@@ -118,7 +108,7 @@ func Ratio(dev *gpusim.Device, src []byte) (float64, error) {
 	if len(src) == 0 {
 		return 1, nil
 	}
-	enc, err := Compress(dev, src)
+	enc, err := CompressCtx(nil, dev, src)
 	if err != nil {
 		return 0, err
 	}

@@ -14,11 +14,11 @@ var dev = gpusim.New(4)
 
 func roundTrip(t *testing.T, data []byte) []byte {
 	t.Helper()
-	enc, err := Compress(dev, data)
+	enc, err := CompressCtx(nil, dev, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decompress(dev, enc)
+	dec, err := DecompressCtx(nil, dev, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,29 +109,29 @@ func TestDecompressCorrupt(t *testing.T) {
 	data := make([]byte, 5000)
 	rng := rand.New(rand.NewSource(3))
 	rng.Read(data)
-	enc, err := Compress(dev, data)
+	enc, err := CompressCtx(nil, dev, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 1, len(enc) / 2, len(enc) - 1} {
-		if _, err := Decompress(dev, enc[:cut]); err == nil {
+		if _, err := DecompressCtx(nil, dev, enc[:cut]); err == nil {
 			t.Fatalf("truncation to %d: want error", cut)
 		}
 	}
 	for trial := 0; trial < 30; trial++ {
 		bad := append([]byte(nil), enc...)
 		bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-		Decompress(dev, bad) // must not panic
+		DecompressCtx(nil, dev, bad) // must not panic
 	}
 }
 
 func TestRoundTripProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		enc, err := Compress(dev, data)
+		enc, err := CompressCtx(nil, dev, data)
 		if err != nil {
 			return false
 		}
-		dec, err := Decompress(dev, enc)
+		dec, err := DecompressCtx(nil, dev, enc)
 		return err == nil && bytes.Equal(dec, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -146,7 +146,7 @@ func TestCtxMatchesContextFree(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i % 7 * (i % 5))
 	}
-	want, err := Compress(dev, src)
+	want, err := CompressCtx(nil, dev, src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func TestAllocsChunkedSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Decompress(dev1, b); err != nil {
+		if _, _, err := DecompressCtx(nil, dev1, b); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -91,7 +91,7 @@ func TestAllocsChunkedSteadyState(t *testing.T) {
 	if n > 120 {
 		t.Fatalf("chunked 4-shard round trip allocates %v/op, want <= 120", n)
 	}
-	if _, _, err := Decompress(dev1, blob); err != nil {
+	if _, _, err := DecompressCtx(nil, dev1, blob); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -114,11 +114,11 @@ func TestCtxNoAliasingBetweenFields(t *testing.T) {
 
 	for _, opts := range []Options{CuszL(), HiTP()} {
 		// Reference containers from context-free compression.
-		wantA, err := Compress(dev1, fieldA, dims, 0.02, opts)
+		wantA, err := CompressCtx(nil, dev1, fieldA, dims, 0.02, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantB, err := Compress(dev1, fieldB, dims, 0.02, opts)
+		wantB, err := CompressCtx(nil, dev1, fieldB, dims, 0.02, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,13 +152,13 @@ func TestCtxNoAliasingBetweenFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reconA, _, err := Decompress(dev4, blobA)
+	reconA, _, err := DecompressCtx(nil, dev4, blobA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapA := append([]float32(nil), reconA...)
 	for i := 0; i < 3; i++ {
-		if _, _, err := Decompress(dev4, blobB); err != nil {
+		if _, _, err := DecompressCtx(nil, dev4, blobB); err != nil {
 			t.Fatal(err)
 		}
 	}

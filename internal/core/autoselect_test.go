@@ -96,11 +96,11 @@ func TestAutoSelectThenCompressHonoursBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := Compress(dev, f.Data, f.Dims, eb, sel.Options)
+	blob, err := CompressCtx(nil, dev, f.Data, f.Dims, eb, sel.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, _, err := Decompress(dev, blob)
+	recon, _, err := DecompressCtx(nil, dev, blob)
 	if err != nil {
 		t.Fatal(err)
 	}

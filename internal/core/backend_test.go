@@ -102,7 +102,7 @@ func TestCompressChunkedCodec(t *testing.T) {
 			if blob[4] != 5 {
 				t.Fatalf("%s/cp=%d: version %d", name, cp, blob[4])
 			}
-			recon, rdims, err := Decompress(dev, blob)
+			recon, rdims, err := DecompressCtx(nil, dev, blob)
 			if err != nil || rdims[0] != 12 {
 				t.Fatalf("%s/cp=%d: decode: %v", name, cp, err)
 			}
@@ -135,7 +135,7 @@ func TestSZpNaNChunkedV5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, _, err := Decompress(dev, blob)
+	recon, _, err := DecompressCtx(nil, dev, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestV5BackendGolden(t *testing.T) {
 		t.Fatalf("histogram = %v", info.ChunkCodecs)
 	}
 
-	recon, rdims, err := Decompress(dev, blob)
+	recon, rdims, err := DecompressCtx(nil, dev, blob)
 	if err != nil || rdims[0] != 6 {
 		t.Fatalf("decode: %v", err)
 	}
@@ -214,14 +214,14 @@ func TestBackendChunkHostileIDs(t *testing.T) {
 	dims := []int{4, 4, 4}
 	data := rampField(64)
 	blob, entries := makeV5(t, data, dims, 0.1, 2, []string{"fzgpu", "szx"})
-	if _, _, err := Decompress(dev, blob); err != nil {
+	if _, _, err := DecompressCtx(nil, dev, blob); err != nil {
 		t.Fatal(err)
 	}
 	// Flip frame 0's ID from fzgpu to szp: both are backends with mode
 	// byte 0, so the mode cross-check cannot catch it — the footer must.
 	bad := append([]byte(nil), blob...)
 	bad[int(entries[0].FrameOff)+5] = byte(CodecSZp)
-	_, _, err := Decompress(dev, bad)
+	_, _, err := DecompressCtx(nil, dev, bad)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("swapped backend ID: err = %v", err)
 	}

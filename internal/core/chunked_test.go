@@ -18,7 +18,7 @@ func chunkedRoundTrip(t *testing.T, data []float32, dims []int, eb float64, opts
 	if err != nil {
 		t.Fatalf("%s cp=%d: CompressChunked: %v", opts.Name, cp, err)
 	}
-	recon, gotDims, err := Decompress(dev, blob)
+	recon, gotDims, err := DecompressCtx(nil, dev, blob)
 	if err != nil {
 		t.Fatalf("%s cp=%d: Decompress: %v", opts.Name, cp, err)
 	}
@@ -85,7 +85,7 @@ func TestChunkedMatchesOneShotGuarantees(t *testing.T) {
 	eb := 0.01
 	for _, opts := range []Options{HiCR(), CuszL()} {
 		blob := chunkedRoundTrip(t, data, dims, eb, opts, 6)
-		recon, _, err := Decompress(dev, blob)
+		recon, _, err := DecompressCtx(nil, dev, blob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestChunkedInspect(t *testing.T) {
 		info.EB != 0.05 || info.Dims[0] != 20 {
 		t.Fatalf("info = %+v", info)
 	}
-	v1, err := Compress(dev, data, dims, 0.05, HiTP())
+	v1, err := CompressCtx(nil, dev, data, dims, 0.05, HiTP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,18 +133,18 @@ func TestChunkedRejectsCorruption(t *testing.T) {
 
 	flip := append([]byte(nil), blob...)
 	flip[len(flip)-10] ^= 0xff // payload byte: checksum must catch it
-	if _, _, err := Decompress(dev, flip); err == nil {
+	if _, _, err := DecompressCtx(nil, dev, flip); err == nil {
 		t.Fatal("corrupted payload decoded without error")
 	}
 
 	for _, cut := range []int{5, 7, 20, len(blob) / 2, len(blob) - 1} {
-		if _, _, err := Decompress(dev, blob[:cut]); err == nil {
+		if _, _, err := DecompressCtx(nil, dev, blob[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded without error", cut)
 		}
 	}
 
 	// Trailing garbage is rejected, not silently ignored.
-	if _, _, err := Decompress(dev, append(append([]byte(nil), blob...), 1, 2, 3)); err == nil {
+	if _, _, err := DecompressCtx(nil, dev, append(append([]byte(nil), blob...), 1, 2, 3)); err == nil {
 		t.Fatal("trailing garbage decoded without error")
 	}
 }
@@ -163,7 +163,7 @@ func TestChunkedRejectsNestedV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := appendChunkFrame(header, 2, CodecMode(HiTP()), 0, 0, dims, 0, 0, inner)
-	if _, _, err := Decompress(dev, blob); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecompressCtx(nil, dev, blob); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("nested v2 container: err = %v", err)
 	}
 }
@@ -247,7 +247,7 @@ func TestChunkCodecModeValidated(t *testing.T) {
 	}
 	bad := append([]byte(nil), blob...)
 	bad[modeAt] = byte(PredLorenzo)<<4 | bad[modeAt]&0x0f
-	if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecompressCtx(nil, dev, bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mismatched codec mode: err = %v", err)
 	}
 }
@@ -396,7 +396,7 @@ func makeV4(t testing.TB, data []float32, dims []int, eb float64, cp int) ([]byt
 		shard := data[off*ps : (off+planes)*ps]
 		shardDims := append([]int{planes}, dims[1:]...)
 		minV, maxV, _ := ShardRange(shard)
-		payload, err := Compress(dev, shard, shardDims, eb, opts)
+		payload, err := CompressCtx(nil, dev, shard, shardDims, eb, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +449,7 @@ func TestV4HeaderGolden(t *testing.T) {
 		t.Fatalf("index body has %d trailing bytes", len(body)-off)
 	}
 	// The container decodes like any other, and the tail parses back.
-	recon, gotDims, err := Decompress(dev, blob)
+	recon, gotDims, err := DecompressCtx(nil, dev, blob)
 	if err != nil || len(recon) != 16 || gotDims[0] != 4 {
 		t.Fatalf("v4 round trip: %v", err)
 	}
@@ -487,14 +487,14 @@ func TestV4HostileFooters(t *testing.T) {
 	dims := []int{8, 4, 4}
 	data := rampField(8 * 4 * 4)
 	blob, entries := makeV4(t, data, dims, 0.1, 2)
-	if _, _, err := Decompress(dev, blob); err != nil {
+	if _, _, err := DecompressCtx(nil, dev, blob); err != nil {
 		t.Fatal(err) // the uncorrupted container must decode
 	}
 	framesEnd := int(binary.LittleEndian.Uint64(blob[len(blob)-IndexTailLen:]))
 
 	t.Run("truncated footer", func(t *testing.T) {
 		for _, cut := range []int{1, 4, IndexTailLen, IndexTailLen + 3, len(blob) - framesEnd - 1} {
-			if _, _, err := Decompress(dev, blob[:len(blob)-cut]); err == nil {
+			if _, _, err := DecompressCtx(nil, dev, blob[:len(blob)-cut]); err == nil {
 				t.Fatalf("footer truncated by %d decoded without error", cut)
 			}
 		}
@@ -502,14 +502,14 @@ func TestV4HostileFooters(t *testing.T) {
 	t.Run("index crc mismatch", func(t *testing.T) {
 		bad := append([]byte(nil), blob...)
 		bad[framesEnd+1] ^= 0x40 // a byte inside the index body
-		if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecompressCtx(nil, dev, bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("backpointer past EOF", func(t *testing.T) {
 		bad := append([]byte(nil), blob...)
 		binary.LittleEndian.PutUint64(bad[len(bad)-IndexTailLen:], uint64(len(bad)))
-		if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecompressCtx(nil, dev, bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
 	})
@@ -518,7 +518,7 @@ func TestV4HostileFooters(t *testing.T) {
 		lie := append([]IndexEntry(nil), entries...)
 		lie[1].FrameOff++
 		bad := AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 4, int64(framesEnd), lie)
-		if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecompressCtx(nil, dev, bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
 	})
@@ -526,12 +526,12 @@ func TestV4HostileFooters(t *testing.T) {
 		lie := append([]IndexEntry(nil), entries...)
 		lie[2].PlaneOff++ // gap in coverage
 		bad := AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 4, int64(framesEnd), lie)
-		if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecompressCtx(nil, dev, bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("footer missing entirely", func(t *testing.T) {
-		if _, _, err := Decompress(dev, blob[:framesEnd]); err == nil {
+		if _, _, err := DecompressCtx(nil, dev, blob[:framesEnd]); err == nil {
 			t.Fatal("v4 without footer decoded without error")
 		}
 	})
@@ -643,7 +643,7 @@ func TestV5HeaderGolden(t *testing.T) {
 		t.Fatalf("index body has %d trailing bytes", len(body)-bo)
 	}
 	// And the mixed container decodes.
-	recon, gotDims, err := Decompress(dev, blob)
+	recon, gotDims, err := DecompressCtx(nil, dev, blob)
 	if err != nil || len(recon) != 16 || gotDims[0] != 4 {
 		t.Fatalf("v5 round trip: %v", err)
 	}
@@ -657,7 +657,7 @@ func TestV5MixedCodecRoundTrip(t *testing.T) {
 	dims := []int{24, 10, 10}
 	data := rampField(24 * 10 * 10)
 	blob, _ := makeV5(t, data, dims, 0.05, 6, []string{"hi-cr", "cusz-l"})
-	recon, gotDims, err := Decompress(dev, blob)
+	recon, gotDims, err := DecompressCtx(nil, dev, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,7 +683,7 @@ func TestV5MixedCodecRoundTrip(t *testing.T) {
 	if auto[4] != 5 {
 		t.Fatalf("auto container version = %d", auto[4])
 	}
-	areon, _, err := Decompress(dev, auto)
+	areon, _, err := DecompressCtx(nil, dev, auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -700,7 +700,7 @@ func TestV5HostileCodecIDs(t *testing.T) {
 	dims := []int{8, 4, 4}
 	data := rampField(8 * 4 * 4)
 	blob, entries := makeV5(t, data, dims, 0.1, 2, []string{"cusz-l", "hi-tp"})
-	if _, _, err := Decompress(dev, blob); err != nil {
+	if _, _, err := DecompressCtx(nil, dev, blob); err != nil {
 		t.Fatal(err) // the uncorrupted container must decode
 	}
 	framesEnd := int(binary.LittleEndian.Uint64(blob[len(blob)-IndexTailLen:]))
@@ -709,21 +709,21 @@ func TestV5HostileCodecIDs(t *testing.T) {
 	t.Run("unknown codec id in frame", func(t *testing.T) {
 		bad := append([]byte(nil), blob...)
 		bad[idAt(0)] = 0x7f
-		if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecompressCtx(nil, dev, bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("zero codec id in frame", func(t *testing.T) {
 		bad := append([]byte(nil), blob...)
 		bad[idAt(0)] = 0
-		if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecompressCtx(nil, dev, bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("codec id disagrees with mode byte", func(t *testing.T) {
 		bad := append([]byte(nil), blob...)
 		bad[idAt(0)] = byte(CodecHiTP) // frame 0 carries cusz-l's mode byte
-		if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecompressCtx(nil, dev, bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
 	})
@@ -731,7 +731,7 @@ func TestV5HostileCodecIDs(t *testing.T) {
 		lie := append([]IndexEntry(nil), entries...)
 		lie[0].Codec = CodecHiTP // registered and self-consistent, but wrong
 		bad := AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 5, int64(framesEnd), lie)
-		if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecompressCtx(nil, dev, bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
 	})
@@ -739,14 +739,14 @@ func TestV5HostileCodecIDs(t *testing.T) {
 		lie := append([]IndexEntry(nil), entries...)
 		lie[1].Codec = 0x7f
 		bad := AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 5, int64(framesEnd), lie)
-		if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecompressCtx(nil, dev, bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("v4 footer on a v5 body", func(t *testing.T) {
 		// Entries without codec IDs cannot satisfy a v5 parse.
 		bad := AppendChunkIndexFooter(append([]byte(nil), blob[:framesEnd]...), 4, int64(framesEnd), entries)
-		if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecompressCtx(nil, dev, bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v", err)
 		}
 	})
@@ -762,7 +762,7 @@ func TestV2RejectsNonzeroFlags(t *testing.T) {
 	}
 	bad := append([]byte(nil), blob...)
 	bad[5] = 1
-	if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecompressCtx(nil, dev, bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("v2 with flags=1: err = %v", err)
 	}
 }
@@ -779,7 +779,7 @@ func TestEncodeSpecValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("v%d custom assembly: %v", ver, err)
 		}
-		if _, _, err := Decompress(dev, blob); err != nil || blob[4] != byte(ver) {
+		if _, _, err := DecompressCtx(nil, dev, blob); err != nil || blob[4] != byte(ver) {
 			t.Fatalf("v%d custom assembly: version %d, decode %v", ver, blob[4], err)
 		}
 	}

@@ -4,7 +4,7 @@
 // cuSZ-Hi-TP, cuSZ-I, cuSZ-IB, cuSZ-L) wins on every field, so this
 // repository treats an assembly as a first-class Codec with a stable 1-byte
 // wire ID. The registry replaces the predictor/pipeline switch ladders that
-// used to live in Compress/Decompress: mode names resolve through it
+// used to live in CompressCtx/DecompressCtx: mode names resolve through it
 // (ModeOptions), chunked format-v5 containers record a codec ID per chunk
 // frame, and decoders dispatch unknown wire IDs to ErrCorrupt instead of
 // panicking. Future chunk backends (fzgpu, bitcomp containers) register new
@@ -65,9 +65,6 @@ type codecEntry struct {
 	// for codecs that do not expose Options.
 	mode    byte
 	hasMode bool
-	// display is the assembly's Options.Name ("cuSZ-Hi-CR", ...), cached
-	// so ResolveCodec never rebuilds Options per lookup.
-	display string
 }
 
 var (
@@ -97,10 +94,8 @@ func RegisterCodec(c Codec) {
 	}
 	e := codecEntry{codec: c}
 	if oc, ok := c.(optioned); ok {
-		opts := oc.Options()
-		e.mode = CodecMode(opts)
+		e.mode = CodecMode(oc.Options())
 		e.hasMode = true
-		e.display = opts.Name
 	}
 	codecsByID[id] = e
 	codecsByName[name] = e
@@ -168,23 +163,6 @@ func codecForFrameMode(mode byte) (Codec, bool) {
 		}
 	}
 	return nil, false
-}
-
-// ResolveCodec maps a compressor assembly back to its registered codec (by
-// the assembly's display name, which the Options constructors set and the
-// registry caches at registration). It is the library-facing reverse
-// lookup for callers holding an Options value who need a wire ID — e.g.
-// to write v5 frames for a fixed assembly. Custom Options variants
-// (SZ3-like, ablation stacks) have no wire ID and resolve to an error —
-// they can compress one-shot and v2–v4 containers, but not
-// per-chunk-dispatched v5 ones.
-func ResolveCodec(opts Options) (Codec, error) {
-	for _, e := range codecsByID {
-		if e.hasMode && e.display == opts.Name {
-			return e.codec, nil
-		}
-	}
-	return nil, fmt.Errorf("core: assembly %q has no registered codec", opts.Name)
 }
 
 // assemblyCodec adapts an Options constructor to the Codec interface. The

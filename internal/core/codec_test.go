@@ -69,7 +69,7 @@ func TestCodecCompressMatchesOptionsPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Compress(dev1, data, dims, 0.02, opts)
+		want, err := CompressCtx(nil, dev1, data, dims, 0.02, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,23 +84,6 @@ func TestCodecCompressMatchesOptionsPath(t *testing.T) {
 		if err != nil || len(recon) != len(data) || rdims[0] != 8 {
 			t.Fatalf("%s: codec decompress: %v", name, err)
 		}
-	}
-}
-
-// TestResolveCodec: the five canonical assemblies resolve to their codecs;
-// custom Options variants (no wire ID) are refused.
-func TestResolveCodec(t *testing.T) {
-	for _, opts := range allModes() {
-		cd, err := ResolveCodec(opts)
-		if err != nil {
-			t.Fatalf("%s: %v", opts.Name, err)
-		}
-		if got, _ := ModeOptions(cd.Name()); got.Name != opts.Name {
-			t.Fatalf("%s resolved to codec %s", opts.Name, cd.Name())
-		}
-	}
-	if _, err := ResolveCodec(SZ3Like()); err == nil {
-		t.Fatal("SZ3-like assembly resolved to a wire codec")
 	}
 }
 
@@ -129,23 +112,23 @@ func TestUnknownPredictorAndPipelineAreCorrupt(t *testing.T) {
 	dims := []int{4, 4, 4}
 	opts := CuszL()
 	opts.Predictor = 9
-	if _, err := Compress(dev, data, dims, 0.1, opts); err == nil || errors.Is(err, ErrCorrupt) {
+	if _, err := CompressCtx(nil, dev, data, dims, 0.1, opts); err == nil || errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unknown predictor on encode: err = %v", err)
 	}
 	opts = CuszL()
 	opts.Pipeline = 9
-	if _, err := Compress(dev, data, dims, 0.1, opts); err == nil ||
+	if _, err := CompressCtx(nil, dev, data, dims, 0.1, opts); err == nil ||
 		!strings.Contains(err.Error(), "unsupported with the Lorenzo predictor") {
 		t.Fatalf("unknown pipeline on encode: err = %v", err)
 	}
 
-	blob, err := Compress(dev, data, dims, 0.1, CuszL())
+	blob, err := CompressCtx(nil, dev, data, dims, 0.1, CuszL())
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := append([]byte(nil), blob...)
 	bad[5] = 9 // predictor wire byte
-	if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecompressCtx(nil, dev, bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unknown predictor on decode: err = %v", err)
 	}
 }
@@ -194,7 +177,7 @@ func TestSelectShardCodecPicksPlausibly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, _, err := Decompress(dev, blob)
+	recon, _, err := DecompressCtx(nil, dev, blob)
 	if err != nil || len(recon) != len(smooth) {
 		t.Fatalf("selected codec %s failed its own shard: %v", cd.Name(), err)
 	}

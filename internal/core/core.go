@@ -50,7 +50,7 @@ type predictorEntry struct {
 	decompress func(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, off int, dims []int, total int, eb float64, lo, hi int) ([]float32, []int, error)
 }
 
-// predictors is the predictor registry: Compress/Decompress dispatch
+// predictors is the predictor registry: CompressCtx/DecompressCtx dispatch
 // through it instead of switching on the Predictor byte, so an unknown
 // wire value fails cleanly (invalid option on encode, ErrCorrupt on
 // decode) and new decomposition stages plug in without touching dispatch.
@@ -279,14 +279,10 @@ func AblationVariants() []Options {
 // ---------------------------------------------------------------------------
 // Compression.
 
-// Compress encodes data (dims slowest-first) under absolute error bound eb.
-func Compress(dev *gpusim.Device, data []float32, dims []int, eb float64, opts Options) ([]byte, error) {
-	return CompressCtx(nil, dev, data, dims, eb, opts)
-}
-
-// CompressCtx is Compress drawing all working memory from a reusable codec
-// context (nil behaves like Compress). The returned container is always a
-// fresh allocation owned by the caller; only internal scratch is pooled.
+// CompressCtx encodes data (dims slowest-first) under absolute error bound
+// eb into a one-shot container, drawing working memory from ctx (nil
+// allocates). The returned container is always a fresh allocation owned
+// by the caller; only internal scratch is pooled.
 func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, dims []int, eb float64, opts Options) ([]byte, error) {
 	if eb <= 0 || math.IsInf(eb, 0) || math.IsNaN(eb) {
 		return nil, fmt.Errorf("core: invalid error bound %v", eb)
@@ -453,16 +449,11 @@ func compressLorenzo(ctx *arena.Ctx, dev *gpusim.Device, out []byte, data []floa
 // ---------------------------------------------------------------------------
 // Decompression.
 
-// Decompress decodes any container produced by Compress, returning the
-// reconstructed field and its dims.
-func Decompress(dev *gpusim.Device, blob []byte) ([]float32, []int, error) {
-	return DecompressCtx(nil, dev, blob)
-}
-
-// DecompressCtx is Decompress drawing all working memory from a reusable
-// codec context (nil behaves like Decompress). With a non-nil ctx the
-// returned field and dims are context scratch, valid until the next
-// ctx.Reset — copy them out before recycling the context.
+// DecompressCtx decodes any container, one-shot or chunked, returning the
+// reconstructed field and its dims, drawing working memory from ctx (nil
+// allocates). With a non-nil ctx the returned field and dims are context
+// scratch, valid until the next ctx.Reset — copy them out before
+// recycling the context.
 func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float32, []int, error) {
 	return decompressPlanes(ctx, dev, blob, 0, math.MaxInt)
 }

@@ -17,11 +17,11 @@ func allModes() []Options {
 
 func roundTrip(t *testing.T, data []float32, dims []int, eb float64, opts Options) []byte {
 	t.Helper()
-	blob, err := Compress(dev, data, dims, eb, opts)
+	blob, err := CompressCtx(nil, dev, data, dims, eb, opts)
 	if err != nil {
 		t.Fatalf("%s: Compress: %v", opts.Name, err)
 	}
-	recon, gotDims, err := Decompress(dev, blob)
+	recon, gotDims, err := DecompressCtx(nil, dev, blob)
 	if err != nil {
 		t.Fatalf("%s: Decompress: %v", opts.Name, err)
 	}
@@ -120,18 +120,18 @@ func TestRoundTrip2D(t *testing.T) {
 
 func TestCompressValidation(t *testing.T) {
 	data := make([]float32, 8)
-	if _, err := Compress(dev, data, []int{2, 2, 2}, 0, HiCR()); err == nil {
+	if _, err := CompressCtx(nil, dev, data, []int{2, 2, 2}, 0, HiCR()); err == nil {
 		t.Fatal("want eb error")
 	}
-	if _, err := Compress(dev, data, []int{3, 3}, 1e-3, HiCR()); err == nil {
+	if _, err := CompressCtx(nil, dev, data, []int{3, 3}, 1e-3, HiCR()); err == nil {
 		t.Fatal("want dims error")
 	}
-	if _, err := Compress(dev, data, []int{2, -4}, 1e-3, HiCR()); err == nil {
+	if _, err := CompressCtx(nil, dev, data, []int{2, -4}, 1e-3, HiCR()); err == nil {
 		t.Fatal("want negative dim error")
 	}
 	bad := CuszL()
 	bad.Pipeline = PipeHiCR // unsupported combination
-	if _, err := Compress(dev, data, []int{2, 2, 2}, 1e-3, bad); err == nil {
+	if _, err := CompressCtx(nil, dev, data, []int{2, 2, 2}, 1e-3, bad); err == nil {
 		t.Fatal("want pipeline error for Lorenzo+HiCR")
 	}
 }
@@ -144,22 +144,22 @@ func TestDecompressCorrupt(t *testing.T) {
 	eb := metrics.AbsEB(f.Data, 1e-3)
 	rng := rand.New(rand.NewSource(6))
 	for _, opts := range []Options{HiCR(), CuszL()} {
-		blob, err := Compress(dev, f.Data, f.Dims, eb, opts)
+		blob, err := CompressCtx(nil, dev, f.Data, f.Dims, eb, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Decompress(dev, nil); err == nil {
+		if _, _, err := DecompressCtx(nil, dev, nil); err == nil {
 			t.Fatal("want error for empty blob")
 		}
 		for _, cut := range []int{0, 3, 5, 20, len(blob) / 2, len(blob) - 1} {
-			if _, _, err := Decompress(dev, blob[:cut]); err == nil {
+			if _, _, err := DecompressCtx(nil, dev, blob[:cut]); err == nil {
 				t.Fatalf("%s truncated to %d: want error", opts.Name, cut)
 			}
 		}
 		for trial := 0; trial < 40; trial++ {
 			bad := append([]byte(nil), blob...)
 			bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-			Decompress(dev, bad) // must not panic
+			DecompressCtx(nil, dev, bad) // must not panic
 		}
 	}
 }
@@ -181,11 +181,11 @@ func TestReorderImprovesTPMode(t *testing.T) {
 	with := HiTP()
 	without := HiTP()
 	without.Reorder = false
-	a, err := Compress(dev, f.Data, f.Dims, eb, with)
+	a, err := CompressCtx(nil, dev, f.Data, f.Dims, eb, with)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compress(dev, f.Data, f.Dims, eb, without)
+	b, err := CompressCtx(nil, dev, f.Data, f.Dims, eb, without)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func TestContainerHeaderStable(t *testing.T) {
 	data := []float32{0, 0.25, 0.5, 0.75, 1, 1.25, 1.5, 1.75}
 	opts := HiTP()
 	opts.AutoTune = false // keep the per-level configs deterministic
-	blob, err := Compress(dev, data, []int{2, 2, 2}, 0.01, opts)
+	blob, err := CompressCtx(nil, dev, data, []int{2, 2, 2}, 0.01, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestContainerHeaderStable(t *testing.T) {
 		t.Fatalf("pipeline/reorder = %d %d", blob[18], blob[19])
 	}
 	// Round trip still works, of course.
-	recon, dims, err := Decompress(dev, blob)
+	recon, dims, err := DecompressCtx(nil, dev, blob)
 	if err != nil || len(recon) != 8 || dims[0] != 2 {
 		t.Fatalf("round trip: %v", err)
 	}
@@ -57,11 +57,11 @@ func TestCrossModeDecode(t *testing.T) {
 		data[i] = float32(i % 17)
 	}
 	for _, opts := range allModes() {
-		blob, err := Compress(dev, data, []int{10, 10, 10}, 0.05, opts)
+		blob, err := CompressCtx(nil, dev, data, []int{10, 10, 10}, 0.05, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", opts.Name, err)
 		}
-		recon, _, err := Decompress(dev, blob)
+		recon, _, err := DecompressCtx(nil, dev, blob)
 		if err != nil {
 			t.Fatalf("%s: %v", opts.Name, err)
 		}

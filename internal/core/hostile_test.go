@@ -18,13 +18,13 @@ func TestUnsupportedVersionIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := Compress(dev, f.Data, f.Dims, metrics.AbsEB(f.Data, 1e-3), HiCR())
+	blob, err := CompressCtx(nil, dev, f.Data, f.Dims, metrics.AbsEB(f.Data, 1e-3), HiCR())
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := append([]byte(nil), blob...)
 	bad[4] = 0xEE
-	if _, _, err := Decompress(dev, bad); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecompressCtx(nil, dev, bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Decompress: got %v, want ErrCorrupt", err)
 	}
 	if _, err := Inspect(bad); !errors.Is(err, ErrCorrupt) {

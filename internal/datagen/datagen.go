@@ -30,9 +30,6 @@ type Field struct {
 // Len returns the number of elements.
 func (f *Field) Len() int { return len(f.Data) }
 
-// NumDims returns the dimensionality.
-func (f *Field) NumDims() int { return len(f.Dims) }
-
 // SizeBytes returns the uncompressed payload size.
 func (f *Field) SizeBytes() int { return 4 * len(f.Data) }
 

@@ -39,10 +39,10 @@ func coreCompressor(name string, opts core.Options) Compressor {
 		Name:    name,
 		FixedEB: true,
 		Compress: func(dev *gpusim.Device, data []float32, dims []int, relEB float64) ([]byte, error) {
-			return core.Compress(dev, data, dims, metrics.AbsEB(data, relEB), opts)
+			return core.CompressCtx(nil, dev, data, dims, metrics.AbsEB(data, relEB), opts)
 		},
 		Decompress: func(dev *gpusim.Device, blob []byte) ([]float32, error) {
-			out, _, err := core.Decompress(dev, blob)
+			out, _, err := core.DecompressCtx(nil, dev, blob)
 			return out, err
 		},
 	}
@@ -69,10 +69,10 @@ func CuSZp2() Compressor {
 		Name:    "cuSZp2",
 		FixedEB: true,
 		Compress: func(dev *gpusim.Device, data []float32, dims []int, relEB float64) ([]byte, error) {
-			return szp.Compress(dev, data, metrics.AbsEB(data, relEB))
+			return szp.CompressCtx(nil, dev, data, metrics.AbsEB(data, relEB))
 		},
 		Decompress: func(dev *gpusim.Device, blob []byte) ([]float32, error) {
-			return szp.Decompress(dev, blob)
+			return szp.DecompressCtx(nil, dev, blob)
 		},
 	}
 }
@@ -83,10 +83,11 @@ func FZGPU() Compressor {
 		Name:    "FZ-GPU",
 		FixedEB: true,
 		Compress: func(dev *gpusim.Device, data []float32, dims []int, relEB float64) ([]byte, error) {
-			return fzgpu.Compress(dev, data, dims, metrics.AbsEB(data, relEB))
+			return fzgpu.CompressCtx(nil, dev, data, dims, metrics.AbsEB(data, relEB))
 		},
 		Decompress: func(dev *gpusim.Device, blob []byte) ([]float32, error) {
-			return fzgpu.Decompress(dev, blob)
+			recon, _, err := fzgpu.DecompressCtx(nil, dev, blob)
+			return recon, err
 		},
 	}
 }
@@ -202,7 +203,7 @@ func Run(dev *gpusim.Device, c Compressor, f *datagen.Field, relEB float64) (Run
 func HiQuantCodes(dev *gpusim.Device, f *datagen.Field, relEB float64, reorder bool) ([]uint8, error) {
 	g := interp.NewGrid(f.Dims)
 	cfg := interp.HiConfig()
-	res, err := interp.Compress(dev, f.Data, g, cfg, metrics.AbsEB(f.Data, relEB))
+	res, err := interp.CompressCtx(nil, dev, f.Data, g, cfg, metrics.AbsEB(f.Data, relEB))
 	if err != nil {
 		return nil, err
 	}
@@ -225,16 +226,10 @@ func SZx() Compressor {
 		Name:    "SZx",
 		FixedEB: true,
 		Compress: func(dev *gpusim.Device, data []float32, dims []int, relEB float64) ([]byte, error) {
-			return szx.Compress(dev, data, metrics.AbsEB(data, relEB))
+			return szx.CompressCtx(nil, dev, data, metrics.AbsEB(data, relEB))
 		},
 		Decompress: func(dev *gpusim.Device, blob []byte) ([]float32, error) {
-			return szx.Decompress(dev, blob)
+			return szx.DecompressCtx(nil, dev, blob)
 		},
 	}
-}
-
-// ExtraCompressors returns the archetypes beyond the paper's Table 4
-// columns, used by the `benchtab extras` appendix.
-func ExtraCompressors() []Compressor {
-	return []Compressor{SZ3LikeEntry(), SZx()}
 }

@@ -170,7 +170,7 @@ func TestExtraCompressors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	extras := ExtraCompressors()
+	extras := []Compressor{SZ3LikeEntry(), SZx()}
 	if len(extras) != 2 {
 		t.Fatalf("extras = %d", len(extras))
 	}

@@ -20,9 +20,13 @@ type LosslessCodec struct {
 func pipelineCodec(spec string) LosslessCodec {
 	p := lccodec.MustParse(spec)
 	return LosslessCodec{
-		Name:   spec,
-		Encode: p.Encode,
-		Decode: p.Decode,
+		Name: spec,
+		Encode: func(dev *gpusim.Device, src []byte) ([]byte, error) {
+			return p.EncodeCtx(nil, dev, src)
+		},
+		Decode: func(dev *gpusim.Device, src []byte) ([]byte, error) {
+			return p.DecodeCtx(nil, dev, src)
+		},
 	}
 }
 
@@ -30,10 +34,10 @@ func lzCodec(name string, v lz.Variant) LosslessCodec {
 	return LosslessCodec{
 		Name: name,
 		Encode: func(dev *gpusim.Device, src []byte) ([]byte, error) {
-			return lz.Encode(dev, src, v)
+			return lz.EncodeCtx(nil, dev, src, v)
 		},
 		Decode: func(dev *gpusim.Device, src []byte) ([]byte, error) {
-			return lz.Decode(dev, src, v)
+			return lz.DecodeCtx(nil, dev, src, v)
 		},
 	}
 }
@@ -44,7 +48,7 @@ func withHF(c LosslessCodec) LosslessCodec {
 	return LosslessCodec{
 		Name: "HF+" + c.Name,
 		Encode: func(dev *gpusim.Device, src []byte) ([]byte, error) {
-			hf, err := huffman.EncodeBytes(dev, src)
+			hf, err := huffman.EncodeBytesCtx(nil, dev, src, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -55,7 +59,7 @@ func withHF(c LosslessCodec) LosslessCodec {
 			if err != nil {
 				return nil, err
 			}
-			return huffman.DecodeBytes(dev, mid)
+			return huffman.DecodeBytesCtx(nil, dev, mid)
 		},
 	}
 }
@@ -74,9 +78,13 @@ func Fig6Codecs() []LosslessCodec {
 		},
 	}
 	bitcompCodec := LosslessCodec{
-		Name:   "Bitcomp~",
-		Encode: bitcomp.Compress,
-		Decode: bitcomp.Decompress,
+		Name: "Bitcomp~",
+		Encode: func(dev *gpusim.Device, src []byte) ([]byte, error) {
+			return bitcomp.CompressCtx(nil, dev, src)
+		},
+		Decode: func(dev *gpusim.Device, src []byte) ([]byte, error) {
+			return bitcomp.DecompressCtx(nil, dev, src)
+		},
 	}
 	ndzipCodec := LosslessCodec{
 		Name:   "ndzip",

@@ -28,14 +28,10 @@ var ErrCorrupt = errors.New("fzgpu: corrupt stream")
 
 var pipeline = lccodec.MustParse("BIT1-RZE4")
 
-// Compress encodes data (any dims, slowest first) under absolute bound eb.
-func Compress(dev *gpusim.Device, data []float32, dims []int, eb float64) ([]byte, error) {
-	return CompressCtx(nil, dev, data, dims, eb)
-}
-
-// CompressCtx is Compress drawing all working memory from a reusable codec
-// context (nil behaves like Compress). The returned container is a fresh
-// allocation owned by the caller; only internal scratch is pooled.
+// CompressCtx encodes data (any dims, slowest first) under absolute bound
+// eb, drawing working memory from ctx (nil allocates). The returned
+// container is a fresh allocation owned by the caller; only internal
+// scratch is pooled.
 func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, dims []int, eb float64) ([]byte, error) {
 	g := lorenzo.NewGrid(dims)
 	res, err := lorenzo.CompressCtx(ctx, dev, data, g, eb)
@@ -72,16 +68,10 @@ func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, dims []int,
 	return append(out, payload...), nil
 }
 
-// Decompress reverses Compress.
-func Decompress(dev *gpusim.Device, blob []byte) ([]float32, error) {
-	recon, _, err := DecompressCtx(nil, dev, blob)
-	return recon, err
-}
-
-// DecompressCtx is Decompress with a reusable context, additionally
-// returning the dims the container self-describes (slowest first). With a
-// non-nil ctx the returned field and dims are context scratch, valid until
-// the next ctx.Reset.
+// DecompressCtx reverses CompressCtx, returning the field and the dims the
+// container self-describes (slowest first). With a non-nil ctx the
+// returned field and dims are context scratch, valid until the next
+// ctx.Reset.
 //
 //cuszhi:hotpath
 func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float32, []int, error) {

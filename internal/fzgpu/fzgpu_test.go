@@ -16,11 +16,11 @@ var dev = gpusim.New(4)
 
 func roundTrip(t *testing.T, data []float32, dims []int, eb float64) []byte {
 	t.Helper()
-	blob, err := Compress(dev, data, dims, eb)
+	blob, err := CompressCtx(nil, dev, data, dims, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, err := Decompress(dev, blob)
+	recon, _, err := DecompressCtx(nil, dev, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,19 +84,19 @@ func TestDecompressCorrupt(t *testing.T) {
 	for i := range data {
 		data[i] = float32(rng.NormFloat64())
 	}
-	blob, err := Compress(dev, data, dims, 1e-3)
+	blob, err := CompressCtx(nil, dev, data, dims, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 1, 8, len(blob) / 2, len(blob) - 1} {
-		if _, err := Decompress(dev, blob[:cut]); err == nil {
+		if _, _, err := DecompressCtx(nil, dev, blob[:cut]); err == nil {
 			t.Fatalf("truncation to %d: want error", cut)
 		}
 	}
 	for trial := 0; trial < 30; trial++ {
 		bad := append([]byte(nil), blob...)
 		bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-		Decompress(dev, bad) // must not panic
+		DecompressCtx(nil, dev, bad) // must not panic
 	}
 }
 
@@ -109,7 +109,7 @@ func TestCtxMatchesContextFree(t *testing.T) {
 	for i := range data {
 		data[i] = float32(math.Sin(float64(i) * 0.01))
 	}
-	want, err := Compress(dev, data, dims, 1e-3)
+	want, err := CompressCtx(nil, dev, data, dims, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}

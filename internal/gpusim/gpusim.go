@@ -152,21 +152,6 @@ func (d *Device) Launch(blocks int, body func(block int)) {
 	<-t.fin
 }
 
-// Launch3D runs body over a 3-D grid of blocks, mirroring dim3 grids.
-// bz is the slowest dimension, bx the fastest.
-func (d *Device) Launch3D(bz, by, bx int, body func(z, y, x int)) {
-	if bz <= 0 || by <= 0 || bx <= 0 {
-		return
-	}
-	total := bz * by * bx
-	d.Launch(total, func(b int) {
-		x := b % bx
-		y := (b / bx) % by
-		z := b / (bx * by)
-		body(z, y, x)
-	})
-}
-
 // LaunchChunks splits n items into contiguous chunks of at most chunk items
 // and runs body(lo, hi) per chunk in parallel. It is the 1-D "grid-stride"
 // pattern used by the encoding kernels.

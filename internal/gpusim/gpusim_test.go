@@ -39,31 +39,6 @@ func TestLaunchSingleWorkerSequential(t *testing.T) {
 	}
 }
 
-func TestLaunch3D(t *testing.T) {
-	d := New(3)
-	var count atomic.Int32
-	var xs, ys, zs [4]atomic.Int32
-	d.Launch3D(2, 3, 4, func(z, y, x int) {
-		count.Add(1)
-		zs[z].Add(1)
-		ys[y].Add(1)
-		xs[x].Add(1)
-	})
-	if count.Load() != 24 {
-		t.Fatalf("ran %d blocks, want 24", count.Load())
-	}
-	for x := 0; x < 4; x++ {
-		if xs[x].Load() != 6 {
-			t.Fatalf("x=%d ran %d, want 6", x, xs[x].Load())
-		}
-	}
-	for z := 0; z < 2; z++ {
-		if zs[z].Load() != 12 {
-			t.Fatalf("z=%d ran %d, want 12", z, zs[z].Load())
-		}
-	}
-}
-
 func TestLaunchChunks(t *testing.T) {
 	d := New(4)
 	n := 1003

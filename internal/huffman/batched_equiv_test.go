@@ -133,7 +133,7 @@ func levelOrderCodes(tb testing.TB, name string, dims []int) []byte {
 		lo, hi = min(lo, v), max(hi, v)
 	}
 	cfg := interp.HiConfig()
-	res, err := interp.Compress(dev, f.Data, interp.NewGrid(dims), cfg, 1e-3*float64(hi-lo))
+	res, err := interp.CompressCtx(nil, dev, f.Data, interp.NewGrid(dims), cfg, 1e-3*float64(hi-lo))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func differentialCorpus(tb testing.TB) (names []string, blobs [][]byte) {
 		blobs = append(blobs, blob)
 	}
 	enc := func(syms []uint16, alphabet int) []byte {
-		blob, err := Encode(dev, syms, alphabet)
+		blob, err := EncodeCtx(nil, dev, syms, alphabet, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func differentialCorpus(tb testing.TB) (names []string, blobs [][]byte) {
 	}
 	for _, name := range []string{"miranda", "scale"} {
 		codes := levelOrderCodes(tb, name, []int{8, 64, 64})
-		blob, err := EncodeBytes(dev, codes)
+		blob, err := EncodeBytesCtx(nil, dev, codes, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -387,7 +387,7 @@ func TestByteTableRuns(t *testing.T) {
 // per op, so the byte table and the output come from reusable scratch.
 func TestDecodeBytesCtxSteadyStateAllocs(t *testing.T) {
 	data := skewedBytes(100_000, 21)
-	enc, err := EncodeBytes(dev, data)
+	enc, err := EncodeBytesCtx(nil, dev, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func BenchmarkEncodeBytes(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeBytes(dev, data); err != nil {
+		if _, err := EncodeBytesCtx(nil, dev, data, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,14 +44,14 @@ func BenchmarkEncodeBytes(b *testing.B) {
 
 func BenchmarkDecodeBytes(b *testing.B) {
 	data := quantLike(1<<22, 2)
-	enc, err := EncodeBytes(dev, data)
+	enc, err := EncodeBytesCtx(nil, dev, data, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeBytes(dev, enc); err != nil {
+		if _, err := DecodeBytesCtx(nil, dev, enc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,7 +80,7 @@ func BenchmarkEncodeBytesSkewed(b *testing.B) {
 // of hi-cr's entropy decode. The context is warm, as in a shard worker.
 func BenchmarkDecodeBytesSkewed(b *testing.B) {
 	data := skewedBytes(1<<22, 3)
-	enc, err := EncodeBytes(dev, data)
+	enc, err := EncodeBytesCtx(nil, dev, data, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func BenchmarkDecodeSymbols(b *testing.B) {
 	for i := range syms {
 		syms[i] = uint16(513 + int(rng.NormFloat64()*3))
 	}
-	enc, err := Encode(dev, syms, 1026)
+	enc, err := EncodeCtx(nil, dev, syms, 1026, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

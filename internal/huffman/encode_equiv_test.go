@@ -229,7 +229,7 @@ func TestEncodeBytesCtxSteadyStateAllocs(t *testing.T) {
 // FuzzEncodeBytes runs the encode differential on arbitrary byte streams:
 // with no histogram, the exact one, or the exact one with a count moved
 // from symbol from to symbol to. The kernel and the oracle must both
-// refuse the stream, or write equal containers that DecodeBytes turns
+// refuse the stream, or write equal containers that DecodeBytesCtx turns
 // back into the stream.
 func FuzzEncodeBytes(f *testing.F) {
 	for _, n := range []int{0, 1, 5, 1000} {
@@ -264,7 +264,7 @@ func FuzzEncodeBytes(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("kernel container (%d bytes) differs from the oracle's (%d bytes)", len(got), len(want))
 		}
-		dec, err := DecodeBytes(dev1, got)
+		dec, err := DecodeBytesCtx(nil, dev1, got)
 		if err != nil || !bytes.Equal(dec, p) {
 			t.Fatalf("container does not round-trip: %d bytes, %v", len(dec), err)
 		}

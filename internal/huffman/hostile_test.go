@@ -36,7 +36,7 @@ func TestDecodeHostileCounts(t *testing.T) {
 		blob := hostileHeader(tc.nSyms, tc.chunk, tc.nChunks)
 		blob = bitio.AppendUvarint(blob, 1) // one declared chunk payload byte
 		blob = append(blob, 0xFF)
-		out, err := Decode(dev, blob)
+		out, err := DecodeCtx(nil, dev, blob)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: got (%d symbols, %v), want ErrCorrupt", tc.name, len(out), err)
 		}

@@ -16,7 +16,7 @@
 // one code, a *pair* of short codes in a single probe, or a sub-table
 // pointer for codes longer than tableBits.
 //
-// Byte streams (DecodeBytes, the quantization codes of every pipeline)
+// Byte streams (DecodeBytesCtx, the quantization codes of every pipeline)
 // decode through a third table beside those two: per probe, the run of up
 // to 8 byte symbols whose codes lie wholly inside the probe, packed into
 // one uint64 with the run's length and total bit count. At 1–2.5 bits per
@@ -680,14 +680,10 @@ func encodeChunkBuf[S byte | uint16](syms []S, t *encTable, buf []byte) (_ []byt
 	return buf[:pos], bad
 }
 
-// Encode compresses symbols drawn from [0, alphabet) into a self-contained
-// container. Chunks are encoded in parallel on dev.
-func Encode(dev *gpusim.Device, symbols []uint16, alphabet int) ([]byte, error) {
-	return EncodeCtx(nil, dev, symbols, alphabet, nil)
-}
-
-// EncodeCtx is Encode with a reusable context. freq, when non-nil, must be
-// the exact histogram of symbols over [0, alphabet) — callers that already
+// EncodeCtx compresses symbols drawn from [0, alphabet) into a
+// self-contained container, drawing scratch from ctx (nil allocates).
+// Chunks are encoded in parallel on dev. freq, when non-nil, must be the
+// exact histogram of symbols over [0, alphabet) — callers that already
 // histogram during quantization pass it to skip the counting sweep here
 // (the quantize+histogram fusion); nil recounts internally.
 func EncodeCtx(ctx *arena.Ctx, dev *gpusim.Device, symbols []uint16, alphabet int, freq []int64) ([]byte, error) {
@@ -826,13 +822,8 @@ func (s *scratch) encode(dev *gpusim.Device, symbols []uint16, p []byte, alphabe
 // ---------------------------------------------------------------------------
 // Decoding.
 
-// Decode reverses Encode.
-func Decode(dev *gpusim.Device, data []byte) ([]uint16, error) {
-	return DecodeCtx(nil, dev, data)
-}
-
-// DecodeCtx is Decode with a reusable context. With a non-nil ctx the
-// returned slice is context scratch, valid until the next ctx.Reset.
+// DecodeCtx reverses EncodeCtx. With a non-nil ctx the returned slice is
+// context scratch, valid until the next ctx.Reset.
 func DecodeCtx(ctx *arena.Ctx, dev *gpusim.Device, data []byte) ([]uint16, error) {
 	s := scratchFor(ctx)
 	nSyms, chunk, err := s.parseContainer(data)
@@ -1112,15 +1103,10 @@ func decodeChunkBytes(src []byte, t *decodeTable, dst []byte) error {
 // ---------------------------------------------------------------------------
 // Byte-stream conveniences.
 
-// EncodeBytes compresses a byte stream (alphabet 256).
-func EncodeBytes(dev *gpusim.Device, p []byte) ([]byte, error) {
-	return EncodeBytesCtx(nil, dev, p, nil)
-}
-
-// EncodeBytesCtx is EncodeBytes with a reusable context and an optional
-// precomputed histogram over the 256 byte values (see EncodeCtx). The
-// encode kernel reads the bytes themselves, so the stream is never
-// widened to uint16 symbols.
+// EncodeBytesCtx compresses a byte stream (alphabet 256), drawing scratch
+// from ctx (nil allocates), with an optional precomputed histogram over
+// the 256 byte values (see EncodeCtx). The encode kernel reads the bytes
+// themselves, so the stream is never widened to uint16 symbols.
 func EncodeBytesCtx(ctx *arena.Ctx, dev *gpusim.Device, p []byte, freq []int64) ([]byte, error) {
 	s := scratchFor(ctx)
 	if freq == nil {
@@ -1136,13 +1122,8 @@ func EncodeBytesCtx(ctx *arena.Ctx, dev *gpusim.Device, p []byte, freq []int64) 
 	return s.encode(dev, nil, p, 256, freq)
 }
 
-// DecodeBytes reverses EncodeBytes.
-func DecodeBytes(dev *gpusim.Device, data []byte) ([]byte, error) {
-	return DecodeBytesCtx(nil, dev, data)
-}
-
-// DecodeBytesCtx is DecodeBytes with a reusable context. With a non-nil
-// ctx the returned slice is context scratch, valid until the next Reset.
+// DecodeBytesCtx reverses EncodeBytesCtx. With a non-nil ctx the returned
+// slice is context scratch, valid until the next Reset.
 // It shares DecodeCtx's container parser and launch but decodes straight
 // into bytes through the byte multi-symbol table; a symbol above 255 is
 // ErrCorrupt.

@@ -15,11 +15,11 @@ var dev = gpusim.New(4)
 
 func roundTrip(t *testing.T, syms []uint16, alphabet int) {
 	t.Helper()
-	enc, err := Encode(dev, syms, alphabet)
+	enc, err := EncodeCtx(nil, dev, syms, alphabet, nil)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	dec, err := Decode(dev, enc)
+	dec, err := DecodeCtx(nil, dev, enc)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestCompressionBeatsRaw(t *testing.T) {
 			syms[i] = 128
 		}
 	}
-	enc, err := Encode(dev, syms, 256)
+	enc, err := EncodeCtx(nil, dev, syms, 256, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestCompressionBeatsRaw(t *testing.T) {
 func TestEncodeBytesRoundTrip(t *testing.T) {
 	data := []byte("the quick brown fox jumps over the lazy dog, repeatedly: ")
 	data = bytes.Repeat(data, 100)
-	enc, err := EncodeBytes(dev, data)
+	enc, err := EncodeBytesCtx(nil, dev, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeBytes(dev, enc)
+	dec, err := DecodeBytesCtx(nil, dev, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,16 +120,16 @@ func TestEncodeBytesRoundTrip(t *testing.T) {
 }
 
 func TestSymbolOutsideAlphabet(t *testing.T) {
-	if _, err := Encode(dev, []uint16{300}, 256); err == nil {
+	if _, err := EncodeCtx(nil, dev, []uint16{300}, 256, nil); err == nil {
 		t.Fatal("want error for out-of-alphabet symbol")
 	}
 }
 
 func TestBadAlphabet(t *testing.T) {
-	if _, err := Encode(dev, nil, 0); err == nil {
+	if _, err := EncodeCtx(nil, dev, nil, 0, nil); err == nil {
 		t.Fatal("want error for alphabet 0")
 	}
-	if _, err := Encode(dev, nil, 1<<17); err == nil {
+	if _, err := EncodeCtx(nil, dev, nil, 1<<17, nil); err == nil {
 		t.Fatal("want error for oversized alphabet")
 	}
 }
@@ -140,13 +140,13 @@ func TestDecodeCorrupt(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint16(rng.Intn(200))
 	}
-	enc, err := Encode(dev, syms, 256)
+	enc, err := EncodeCtx(nil, dev, syms, 256, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Truncations at various points must error, never panic.
 	for _, cut := range []int{0, 1, 2, 5, len(enc) / 2, len(enc) - 1} {
-		if _, err := Decode(dev, enc[:cut]); err == nil {
+		if _, err := DecodeCtx(nil, dev, enc[:cut]); err == nil {
 			t.Fatalf("truncated to %d bytes: want error", cut)
 		}
 	}
@@ -155,7 +155,7 @@ func TestDecodeCorrupt(t *testing.T) {
 	for i := 0; i < 20 && i < len(enc); i++ {
 		bad := append([]byte(nil), enc...)
 		bad[i] ^= 0xFF
-		Decode(dev, bad) // must not panic
+		DecodeCtx(nil, dev, bad) // must not panic
 	}
 }
 
@@ -202,11 +202,11 @@ func TestCanonicalCodesPrefixFree(t *testing.T) {
 
 func TestRoundTripProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		enc, err := EncodeBytes(dev, data)
+		enc, err := EncodeBytesCtx(nil, dev, data, nil)
 		if err != nil {
 			return false
 		}
-		dec, err := DecodeBytes(dev, enc)
+		dec, err := DecodeBytesCtx(nil, dev, enc)
 		if err != nil {
 			return false
 		}
@@ -283,11 +283,11 @@ func TestMultiSymbolMatchesReference(t *testing.T) {
 			}
 			syms[i] = uint16(v)
 		}
-		enc, err := Encode(dev, syms, alphabet)
+		enc, err := EncodeCtx(nil, dev, syms, alphabet, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		dec, err := Decode(dev, enc)
+		dec, err := DecodeCtx(nil, dev, enc)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -320,7 +320,7 @@ func TestDecodeCtxSteadyStateAllocs(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint16(128 + int(rng.NormFloat64()*4))
 	}
-	enc, err := Encode(dev, syms, 256)
+	enc, err := EncodeCtx(nil, dev, syms, 256, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestDecodeCtxSteadyStateAllocs(t *testing.T) {
 // multi-symbol decoder but the guards now catch it).
 func TestDecodeHostileChunkLen(t *testing.T) {
 	syms := make([]uint16, 100)
-	enc, err := Encode(dev, syms, 256)
+	enc, err := EncodeCtx(nil, dev, syms, 256, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestDecodeHostileChunkLen(t *testing.T) {
 	prefix = bitio.AppendUvarint(prefix, 1)                 // nChunks
 	hostile := bitio.AppendUvarint(prefix, uint64(1)<<63+1) // chunkLen
 	hostile = append(hostile, enc[len(hostile):]...)
-	if _, err := Decode(dev, hostile); err == nil {
+	if _, err := DecodeCtx(nil, dev, hostile); err == nil {
 		t.Fatal("hostile chunk length decoded without error")
 	}
 }

@@ -350,7 +350,7 @@ func TestBatchedMatchesScalar(t *testing.T) {
 				want := compressScalarRef(f.Data, g, cfg, eb)
 				wantRecon := decompressScalarRef(want, g, cfg, eb)
 
-				got, err := Compress(dev, f.Data, g, cfg, eb)
+				got, err := CompressCtx(nil, dev, f.Data, g, cfg, eb)
 				if err != nil {
 					t.Fatalf("%s %v %s: %v", name, dims, cn, err)
 				}
@@ -367,7 +367,7 @@ func TestBatchedMatchesScalar(t *testing.T) {
 				if !slices.Equal(got.Freq, want.Freq) {
 					t.Fatalf("%s %v %s: histogram diverges", name, dims, cn)
 				}
-				gotRecon, err := Decompress(dev, got, g, cfg, eb)
+				gotRecon, err := DecompressCtx(nil, dev, got, g, cfg, eb)
 				if err != nil {
 					t.Fatalf("%s %v %s decompress: %v", name, dims, cn, err)
 				}
@@ -543,7 +543,7 @@ func FuzzCompressKernel(f *testing.F) {
 		case !slices.Equal(got.Freq, want.Freq):
 			t.Fatalf("%v %v eb %g: histogram diverges", dims, cfg.PerLevel, eb)
 		}
-		recon, err := Decompress(devs[sel>>3&1], got, g, cfg, eb)
+		recon, err := DecompressCtx(nil, devs[sel>>3&1], got, g, cfg, eb)
 		if err != nil {
 			t.Fatalf("%v eb %g decompress: %v", dims, eb, err)
 		}

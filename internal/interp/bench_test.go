@@ -21,7 +21,7 @@ func BenchmarkCompressHi(b *testing.B) {
 	b.SetBytes(int64(4 * len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compress(dev, data, g, cfg, 1e-3); err != nil {
+		if _, err := CompressCtx(nil, dev, data, g, cfg, 1e-3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -32,14 +32,14 @@ func BenchmarkDecompressHi(b *testing.B) {
 	data := benchField(dims)
 	g := NewGrid(dims)
 	cfg := HiConfig()
-	res, err := Compress(dev, data, g, cfg, 1e-3)
+	res, err := CompressCtx(nil, dev, data, g, cfg, 1e-3)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(4 * len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(dev, res, g, cfg, 1e-3); err != nil {
+		if _, err := DecompressCtx(nil, dev, res, g, cfg, 1e-3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func BenchmarkCompressCuszI(b *testing.B) {
 	b.SetBytes(int64(4 * len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compress(dev, data, g, cfg, 1e-3); err != nil {
+		if _, err := CompressCtx(nil, dev, data, g, cfg, 1e-3); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -118,11 +118,11 @@ func TestSharedFaceDeterminism(t *testing.T) {
 		deq[c] = float64(c-quant.ZeroCode) * 2 * eb
 	}
 	for _, cfg := range []Config{HiConfig(), CuszIConfig()} {
-		res, err := Compress(dev, data, g, cfg, eb)
+		res, err := CompressCtx(nil, dev, data, g, cfg, eb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Decompress(dev, res, g, cfg, eb)
+		out, err := DecompressCtx(nil, dev, res, g, cfg, eb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,11 +208,11 @@ func TestReorderConsistentWithCompressedLevels(t *testing.T) {
 		data[i] = rng.Float32()
 	}
 	cfg := HiConfig()
-	res, err := Compress(dev, data, g, cfg, 1e-2)
+	res, err := CompressCtx(nil, dev, data, g, cfg, 1e-2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perm := quant.LevelOrderPerm(dims, cfg.AnchorStride)
+	perm := quant.LevelOrderPermCtx(nil, dims, cfg.AnchorStride)
 	nAnchors := g.AnchorCount(cfg.AnchorStride)
 	for k := 0; k < nAnchors; k++ {
 		if res.Codes[perm[k]] != quant.ZeroCode {

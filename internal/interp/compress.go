@@ -72,15 +72,10 @@ func gatherAnchors(ctx *arena.Ctx, dev *gpusim.Device, data []float32, g Grid, a
 // bufPool recycles per-block reconstruction buffers across kernel launches.
 var bufPool = sync.Pool{New: func() any { return &block{} }}
 
-// Compress runs the interpolation predictor over data, producing quant
-// codes, anchors and outliers. eb is the absolute error bound.
-func Compress(dev *gpusim.Device, data []float32, g Grid, cfg Config, eb float64) (*Result, error) {
-	return CompressCtx(nil, dev, data, g, cfg, eb)
-}
-
-// CompressCtx is Compress with a reusable context: the code, anchor and
-// histogram buffers of the Result are context scratch, valid until the
-// next ctx.Reset.
+// CompressCtx runs the interpolation predictor over data, producing quant
+// codes, anchors and outliers. eb is the absolute error bound. With a
+// non-nil ctx the code, anchor and histogram buffers of the Result are
+// context scratch, valid until the next ctx.Reset.
 func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, g Grid, cfg Config, eb float64) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -166,13 +161,8 @@ func (s byPos) Swap(i, j int) {
 	s.o.Val[i], s.o.Val[j] = s.o.Val[j], s.o.Val[i]
 }
 
-// Decompress reconstructs the field from a Result.
-func Decompress(dev *gpusim.Device, res *Result, g Grid, cfg Config, eb float64) ([]float32, error) {
-	return DecompressCtx(nil, dev, res, g, cfg, eb)
-}
-
-// DecompressCtx is Decompress with a reusable context: DecompressPlanesCtx
-// over every z-plane of g.
+// DecompressCtx reconstructs the whole field from a Result:
+// DecompressPlanesCtx over every z-plane of g.
 func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, res *Result, g Grid, cfg Config, eb float64) ([]float32, error) {
 	return DecompressPlanesCtx(ctx, dev, res, g, cfg, eb, 0, g.Nz)
 }

@@ -33,11 +33,11 @@ func synthField(dims []int, seed int64) []float32 {
 func roundTrip(t *testing.T, data []float32, dims []int, cfg Config, eb float64) *Result {
 	t.Helper()
 	g := NewGrid(dims)
-	res, err := Compress(dev, data, g, cfg, eb)
+	res, err := CompressCtx(nil, dev, data, g, cfg, eb)
 	if err != nil {
 		t.Fatalf("Compress: %v", err)
 	}
-	recon, err := Decompress(dev, res, g, cfg, eb)
+	recon, err := DecompressCtx(nil, dev, res, g, cfg, eb)
 	if err != nil {
 		t.Fatalf("Decompress: %v", err)
 	}
@@ -146,7 +146,7 @@ func TestCodesConcentratedOnSmoothField(t *testing.T) {
 	}
 	eb := metrics.AbsEB(f.Data, 1e-2)
 	g := NewGrid(f.Dims)
-	res, err := Compress(dev, f.Data, g, HiConfig(), eb)
+	res, err := CompressCtx(nil, dev, f.Data, g, HiConfig(), eb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestHiPredictsBetterThanNoInterpolation(t *testing.T) {
 	}
 	eb := metrics.AbsEB(f.Data, 1e-2)
 	g := NewGrid(f.Dims)
-	res, err := Compress(dev, f.Data, g, HiConfig(), eb)
+	res, err := CompressCtx(nil, dev, f.Data, g, HiConfig(), eb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +189,11 @@ func TestDeterministicCompression(t *testing.T) {
 	dims := []int{33, 40, 41}
 	data := synthField(dims, 9)
 	g := NewGrid(dims)
-	a, err := Compress(dev, data, g, HiConfig(), 1e-3)
+	a, err := CompressCtx(nil, dev, data, g, HiConfig(), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compress(gpusim.New(1), data, g, HiConfig(), 1e-3)
+	b, err := CompressCtx(nil, gpusim.New(1), data, g, HiConfig(), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,15 +233,15 @@ func TestConfigValidate(t *testing.T) {
 func TestCompressErrors(t *testing.T) {
 	g := NewGrid([]int{4, 4, 4})
 	data := make([]float32, 64)
-	if _, err := Compress(dev, data[:10], g, HiConfig(), 1e-3); err == nil {
+	if _, err := CompressCtx(nil, dev, data[:10], g, HiConfig(), 1e-3); err == nil {
 		t.Fatal("want size mismatch error")
 	}
-	if _, err := Compress(dev, data, g, HiConfig(), 0); err == nil {
+	if _, err := CompressCtx(nil, dev, data, g, HiConfig(), 0); err == nil {
 		t.Fatal("want eb error")
 	}
 	cfg := HiConfig()
 	cfg.AnchorStride = 5
-	if _, err := Compress(dev, data, g, cfg, 1e-3); err == nil {
+	if _, err := CompressCtx(nil, dev, data, g, cfg, 1e-3); err == nil {
 		t.Fatal("want config error")
 	}
 }
@@ -306,12 +306,12 @@ func TestAutoTuneImprovesOrMatches(t *testing.T) {
 	g := NewGrid(f.Dims)
 	eb := metrics.AbsEB(f.Data, 1e-3)
 	cfg := HiConfig()
-	resDefault, err := Compress(dev, f.Data, g, cfg, eb)
+	resDefault, err := CompressCtx(nil, dev, f.Data, g, cfg, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.PerLevel = AutoTune(dev, f.Data, g, cfg, 0.2)
-	resTuned, err := Compress(dev, f.Data, g, cfg, eb)
+	resTuned, err := CompressCtx(nil, dev, f.Data, g, cfg, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,11 +379,11 @@ func TestErrorBoundPropertyRandomFields(t *testing.T) {
 		if trial%2 == 1 {
 			cfg = CuszIConfig()
 		}
-		res, err := Compress(dev, data, g, cfg, eb)
+		res, err := CompressCtx(nil, dev, data, g, cfg, eb)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		recon, err := Decompress(dev, res, g, cfg, eb)
+		recon, err := DecompressCtx(nil, dev, res, g, cfg, eb)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -51,14 +51,14 @@ func TestDecompressPlanesMatchesWhole(t *testing.T) {
 		data := spikyField(rng, g)
 		const eb = 1e-3
 		for name, cfg := range planeConfigs(dev, data, g) {
-			res, err := Compress(dev, data, g, cfg, eb)
+			res, err := CompressCtx(nil, dev, data, g, cfg, eb)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if nz > 1 && res.Outliers.Len() == 0 {
 				t.Fatalf("Nz=%d %s: no outliers, the bound is too loose to test them", nz, name)
 			}
-			whole, err := Decompress(dev, res, g, cfg, eb)
+			whole, err := DecompressCtx(nil, dev, res, g, cfg, eb)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,12 +87,12 @@ func TestDecompressPlanesVerdict(t *testing.T) {
 	data := spikyField(rand.New(rand.NewSource(16)), g)
 	cfg := HiConfig()
 	const eb = 1e-3
-	res, err := Compress(dev, data, g, cfg, eb)
+	res, err := CompressCtx(nil, dev, data, g, cfg, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	verdicts := func(r *Result) (whole error, windows []error) {
-		_, whole = Decompress(dev, r, g, cfg, eb)
+		_, whole = DecompressCtx(nil, dev, r, g, cfg, eb)
 		for z0 := 0; z0 < g.Nz; z0 += 4 {
 			_, err := DecompressPlanesCtx(nil, dev, r, g, cfg, eb, z0, min(z0+8, g.Nz))
 			windows = append(windows, err)

@@ -61,7 +61,7 @@ func TestTileDecodeMatchesScalar(t *testing.T) {
 		plane := g.Ny * g.Nx
 		for fn, f := range tileFields(g, 19) {
 			for cn, cfg := range equivConfigs() {
-				res, err := Compress(devs["1w"], f.data, g, cfg, f.eb)
+				res, err := CompressCtx(nil, devs["1w"], f.data, g, cfg, f.eb)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -103,7 +103,7 @@ func TestTileDecodeVerdict(t *testing.T) {
 	cfg := HiConfig()
 	const eb = 1e-3
 	const z0, z1 = 18, 22
-	res, err := Compress(gpusim.New(1), data, g, cfg, eb)
+	res, err := CompressCtx(nil, gpusim.New(1), data, g, cfg, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestTileDecodeVerdict(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			dev := gpusim.New(workers)
-			if _, err := Decompress(dev, lost, g, cfg, eb); !errors.Is(err, quant.ErrCorrupt) {
+			if _, err := DecompressCtx(nil, dev, lost, g, cfg, eb); !errors.Is(err, quant.ErrCorrupt) {
 				t.Fatalf("%s, %d workers: whole decode: %v", tc.name, workers, err)
 			}
 			if _, err := DecompressPlanesCtx(nil, dev, lost, g, cfg, eb, z0, z1); !errors.Is(err, quant.ErrCorrupt) {
@@ -150,7 +150,7 @@ func FuzzDecompressPlanes(f *testing.F) {
 	dev := gpusim.New(2)
 	base := make([]*Result, len(cfgs))
 	for i, cfg := range cfgs {
-		res, err := Compress(dev, data, g, cfg, eb)
+		res, err := CompressCtx(nil, dev, data, g, cfg, eb)
 		if err != nil {
 			f.Fatal(err)
 		}

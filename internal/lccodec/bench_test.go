@@ -21,14 +21,14 @@ func benchInput(n int) []byte {
 func benchPipeline(b *testing.B, spec string) {
 	data := benchInput(1 << 22)
 	p := MustParse(spec)
-	enc, err := p.Encode(dev, data)
+	enc, err := p.EncodeCtx(nil, dev, data)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("encode", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			if _, err := p.Encode(dev, data); err != nil {
+			if _, err := p.EncodeCtx(nil, dev, data); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -36,7 +36,7 @@ func benchPipeline(b *testing.B, spec string) {
 	b.Run("decode", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			if _, err := p.Decode(dev, enc); err != nil {
+			if _, err := p.DecodeCtx(nil, dev, enc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -40,13 +40,6 @@ import (
 // ErrCorrupt reports a malformed component stream.
 var ErrCorrupt = errors.New("lccodec: corrupt stream")
 
-// Batched selects the uint64-packed byte-parallel kernels (the default):
-// SWAR zigzag in TCMS1, whole-group bitmap handling in RRE1/RZE1, and
-// packed fixed-width I/O in CLOG1. The scalar reference paths stay
-// selectable so the equivalence property tests can assert byte-identical
-// streams between the two. Toggle only from tests, before any launch.
-var Batched = true
-
 // SWAR per-byte bit masks.
 const (
 	swarLo = 0x0101010101010101
@@ -145,17 +138,15 @@ func (c tcms) apply(ctx *arena.Ctx, dev *gpusim.Device, src []byte, fwd bool) []
 		// load/store, bit-identical to the scalar form.
 		dev.LaunchBatched(len(src), 1<<16, 8, func(lo, hi int) {
 			i := lo
-			if Batched {
-				for ; i+8 <= hi; i += 8 {
-					v := binary.LittleEndian.Uint64(src[i:])
-					var r uint64
-					if fwd {
-						r = (v<<1)&^swarLo ^ byteMask(v>>7&swarLo)
-					} else {
-						r = (v>>1)&^swarHi ^ byteMask(v&swarLo)
-					}
-					binary.LittleEndian.PutUint64(out[i:], r)
+			for ; i+8 <= hi; i += 8 {
+				v := binary.LittleEndian.Uint64(src[i:])
+				var r uint64
+				if fwd {
+					r = (v<<1)&^swarLo ^ byteMask(v>>7&swarLo)
+				} else {
+					r = (v>>1)&^swarHi ^ byteMask(v&swarLo)
 				}
+				binary.LittleEndian.PutUint64(out[i:], r)
 			}
 			if fwd {
 				for ; i < hi; i++ {
@@ -360,49 +351,47 @@ func (c elim) Encode(ctx *arena.Ctx, dev *gpusim.Device, src []byte) ([]byte, er
 	clear(bitmap)
 	kept := ctx.Bytes(len(src))[:0]
 	if c.w == 1 {
-		// Byte-wide fast path for the pipelines' hot RRE1/RZE1 stages. The
-		// batched path classifies eight symbols per uint64 load: all-drop
-		// and all-keep groups (the overwhelming majority on shuffled
-		// bitplane data) resolve with one bitmap-byte store and one bulk
-		// append; only mixed groups fall back to the per-symbol body.
+		// Byte-wide fast path for the pipelines' hot RRE1/RZE1 stages. It
+		// classifies eight symbols per uint64 load: all-drop and all-keep
+		// groups (the overwhelming majority on shuffled bitplane data)
+		// resolve with one bitmap-byte store and one bulk append; only
+		// mixed groups and the tail fall back to the per-symbol body.
 		var prev byte
 		i := 0
-		if Batched {
-			for ; i+8 <= n; i += 8 {
-				v := binary.LittleEndian.Uint64(src[i:])
-				if c.zero {
-					if v == 0 {
-						continue // all zero: dropped, bitmap byte stays 0
-					}
-					if !hasZeroByte(v) {
-						bitmap[i>>3] = 0xFF
-						kept = append(kept, src[i:i+8]...)
-						continue
-					}
-				} else if i > 0 {
-					if v == uint64(prev)*swarLo {
-						continue // all repeat the running value
-					}
-					if !hasZeroByte(v ^ (v<<8 | uint64(prev))) {
-						bitmap[i>>3] = 0xFF
-						kept = append(kept, src[i:i+8]...)
-						prev = byte(v >> 56)
-						continue
-					}
+		for ; i+8 <= n; i += 8 {
+			v := binary.LittleEndian.Uint64(src[i:])
+			if c.zero {
+				if v == 0 {
+					continue // all zero: dropped, bitmap byte stays 0
 				}
-				for j := i; j < i+8; j++ {
-					b := src[j]
-					var keep bool
-					if c.zero {
-						keep = b != 0
-					} else {
-						keep = j == 0 || b != prev
-						prev = b
-					}
-					if keep {
-						bitmap[j>>3] |= 1 << (j & 7)
-						kept = append(kept, b)
-					}
+				if !hasZeroByte(v) {
+					bitmap[i>>3] = 0xFF
+					kept = append(kept, src[i:i+8]...)
+					continue
+				}
+			} else if i > 0 {
+				if v == uint64(prev)*swarLo {
+					continue // all repeat the running value
+				}
+				if !hasZeroByte(v ^ (v<<8 | uint64(prev))) {
+					bitmap[i>>3] = 0xFF
+					kept = append(kept, src[i:i+8]...)
+					prev = byte(v >> 56)
+					continue
+				}
+			}
+			for j := i; j < i+8; j++ {
+				b := src[j]
+				var keep bool
+				if c.zero {
+					keep = b != 0
+				} else {
+					keep = j == 0 || b != prev
+					prev = b
+				}
+				if keep {
+					bitmap[j>>3] |= 1 << (j & 7)
+					kept = append(kept, b)
 				}
 			}
 		}
@@ -480,49 +469,47 @@ func (c elim) Decode(ctx *arena.Ctx, dev *gpusim.Device, src []byte) ([]byte, er
 		// back to per-symbol decoding.
 		var prev byte
 		i := 0
-		if Batched {
-			for ; i+8 <= nSym; i += 8 {
-				switch bitmap[i>>3] {
-				case 0xFF:
-					if keptOff+8 > len(src) {
-						return nil, ErrCorrupt
-					}
-					copy(out[i:i+8], src[keptOff:keptOff+8])
-					keptOff += 8
-					if !c.zero {
-						prev = out[i+7]
-					}
-					continue
-				case 0x00:
-					if c.zero {
-						binary.LittleEndian.PutUint64(out[i:], 0)
-						continue
-					}
-					if i == 0 {
-						return nil, ErrCorrupt // first symbol must be kept
-					}
-					binary.LittleEndian.PutUint64(out[i:], uint64(prev)*swarLo)
+		for ; i+8 <= nSym; i += 8 {
+			switch bitmap[i>>3] {
+			case 0xFF:
+				if keptOff+8 > len(src) {
+					return nil, ErrCorrupt
+				}
+				copy(out[i:i+8], src[keptOff:keptOff+8])
+				keptOff += 8
+				if !c.zero {
+					prev = out[i+7]
+				}
+				continue
+			case 0x00:
+				if c.zero {
+					binary.LittleEndian.PutUint64(out[i:], 0)
 					continue
 				}
-				for j := i; j < i+8; j++ {
-					if bitmap[j>>3]>>(j&7)&1 != 0 {
-						if keptOff >= len(src) {
-							return nil, ErrCorrupt
-						}
-						v := src[keptOff]
-						keptOff++
-						out[j] = v
-						if !c.zero {
-							prev = v
-						}
-					} else if c.zero {
-						out[j] = 0
-					} else {
-						if j == 0 {
-							return nil, ErrCorrupt // first symbol must be kept
-						}
-						out[j] = prev
+				if i == 0 {
+					return nil, ErrCorrupt // first symbol must be kept
+				}
+				binary.LittleEndian.PutUint64(out[i:], uint64(prev)*swarLo)
+				continue
+			}
+			for j := i; j < i+8; j++ {
+				if bitmap[j>>3]>>(j&7)&1 != 0 {
+					if keptOff >= len(src) {
+						return nil, ErrCorrupt
 					}
+					v := src[keptOff]
+					keptOff++
+					out[j] = v
+					if !c.zero {
+						prev = v
+					}
+				} else if c.zero {
+					out[j] = 0
+				} else {
+					if j == 0 {
+						return nil, ErrCorrupt // first symbol must be kept
+					}
+					out[j] = prev
 				}
 			}
 		}
@@ -673,40 +660,25 @@ func (clog) Encode(ctx *arena.Ctx, dev *gpusim.Device, src []byte) ([]byte, erro
 			hi = len(src)
 		}
 		blk := src[lo:hi]
-		var maxv byte
-		if Batched {
-			// The block width is ceil-log2 of the max, which only depends
-			// on the highest bit set anywhere — so an 8-bytes-per-load OR
-			// reduction replaces the byte-wise max scan.
-			var acc uint64
-			i := 0
-			for ; i+8 <= len(blk); i += 8 {
-				acc |= binary.LittleEndian.Uint64(blk[i:])
-			}
-			acc |= acc >> 32
-			acc |= acc >> 16
-			acc |= acc >> 8
-			maxv = byte(acc)
-			for ; i < len(blk); i++ {
-				maxv |= blk[i]
-			}
-		} else {
-			for _, v := range blk {
-				if v > maxv {
-					maxv = v
-				}
-			}
+		// The block width is ceil-log2 of the max, which only depends on
+		// the highest bit set anywhere — so an 8-bytes-per-load OR
+		// reduction replaces the byte-wise max scan.
+		var acc uint64
+		i := 0
+		for ; i+8 <= len(blk); i += 8 {
+			acc |= binary.LittleEndian.Uint64(blk[i:])
+		}
+		acc |= acc >> 32
+		acc |= acc >> 16
+		acc |= acc >> 8
+		maxv := byte(acc)
+		for ; i < len(blk); i++ {
+			maxv |= blk[i]
 		}
 		width := uint(bits.Len8(maxv))
 		w.WriteBits(uint64(width), 4)
 		if width > 0 {
-			if Batched {
-				w.WritePackedBytes(blk, width)
-			} else {
-				for _, v := range blk {
-					w.WriteBits(uint64(v), width)
-				}
-			}
+			w.WritePackedBytes(blk, width)
 		}
 	}
 	packed := w.Bytes()
@@ -747,18 +719,8 @@ func (clog) Decode(ctx *arena.Ctx, dev *gpusim.Device, src []byte) ([]byte, erro
 			clear(out[lo:hi])
 			continue
 		}
-		if Batched {
-			if err := r.ReadPackedBytes(out[lo:hi], width); err != nil {
-				return nil, ErrCorrupt
-			}
-			continue
-		}
-		for i := lo; i < hi; i++ {
-			v, err := r.ReadBits(width)
-			if err != nil {
-				return nil, ErrCorrupt
-			}
-			out[i] = byte(v)
+		if err := r.ReadPackedBytes(out[lo:hi], width); err != nil {
+			return nil, ErrCorrupt
 		}
 	}
 	return out, nil
@@ -906,13 +868,8 @@ func MustParse(spec string) *Pipeline {
 	return p
 }
 
-// Encode applies all stages in order.
-func (p *Pipeline) Encode(dev *gpusim.Device, src []byte) ([]byte, error) {
-	return p.EncodeCtx(nil, dev, src)
-}
-
-// EncodeCtx is Encode drawing stage buffers from ctx; the result is
-// context scratch when ctx is non-nil.
+// EncodeCtx applies all stages in order, drawing stage buffers from ctx;
+// the result is context scratch when ctx is non-nil.
 func (p *Pipeline) EncodeCtx(ctx *arena.Ctx, dev *gpusim.Device, src []byte) ([]byte, error) {
 	cur := src
 	for _, st := range p.Stages {
@@ -925,13 +882,8 @@ func (p *Pipeline) EncodeCtx(ctx *arena.Ctx, dev *gpusim.Device, src []byte) ([]
 	return cur, nil
 }
 
-// Decode applies all stage inverses in reverse order.
-func (p *Pipeline) Decode(dev *gpusim.Device, src []byte) ([]byte, error) {
-	return p.DecodeCtx(nil, dev, src)
-}
-
-// DecodeCtx is Decode drawing stage buffers from ctx; the result is
-// context scratch when ctx is non-nil.
+// DecodeCtx applies all stage inverses in reverse order, drawing stage
+// buffers from ctx; the result is context scratch when ctx is non-nil.
 func (p *Pipeline) DecodeCtx(ctx *arena.Ctx, dev *gpusim.Device, src []byte) ([]byte, error) {
 	cur := src
 	for i := len(p.Stages) - 1; i >= 0; i-- {
@@ -950,7 +902,7 @@ func HiCR() *Pipeline { return MustParse("HF-RRE4-TCMS8-RZE1") }
 
 // HiCRTail is HiCR without its leading HF stage, for encoders that run the
 // entropy stage themselves with a fused (pre-computed) histogram. Composing
-// huffman.EncodeBytes with HiCRTail yields byte-identical output to HiCR.
+// huffman.EncodeBytesCtx with HiCRTail yields byte-identical output to HiCR.
 func HiCRTail() *Pipeline { return MustParse("RRE4-TCMS8-RZE1") }
 
 // HiTP is the throughput-preferred pipeline of cuSZ-Hi (Fig. 7 bottom).

@@ -202,11 +202,11 @@ func TestHiPipelinesRoundTrip(t *testing.T) {
 		data[i] = byte(128 + rng.NormFloat64()*2)
 	}
 	for _, p := range []*Pipeline{HiCR(), HiTP()} {
-		enc, err := p.Encode(dev, data)
+		enc, err := p.EncodeCtx(nil, dev, data)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Spec, err)
 		}
-		dec, err := p.Decode(dev, enc)
+		dec, err := p.DecodeCtx(nil, dev, enc)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Spec, err)
 		}
@@ -230,11 +230,11 @@ func TestHiCRBeatsHuffmanAloneOnRuns(t *testing.T) {
 		data[i] = byte(120 + i%16)
 	}
 	hfOnly := MustParse("HF")
-	encHF, err := hfOnly.Encode(dev, data)
+	encHF, err := hfOnly.EncodeCtx(nil, dev, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	encCR, err := HiCR().Encode(dev, data)
+	encCR, err := HiCR().EncodeCtx(nil, dev, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,17 +249,17 @@ func TestDecodeCorruptNoPanic(t *testing.T) {
 	rng.Read(data)
 	for _, spec := range []string{"RRE1", "RZE1", "CLOG1", "HF-RRE4-TCMS8-RZE1", "TCMS1-BIT1-RRE1"} {
 		p := MustParse(spec)
-		enc, err := p.Encode(dev, data)
+		enc, err := p.EncodeCtx(nil, dev, data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, cut := range []int{0, 1, len(enc) / 2, len(enc) - 1} {
-			p.Decode(dev, enc[:cut]) // must not panic
+			p.DecodeCtx(nil, dev, enc[:cut]) // must not panic
 		}
 		for trial := 0; trial < 30; trial++ {
 			bad := append([]byte(nil), enc...)
 			bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-			p.Decode(dev, bad) // must not panic
+			p.DecodeCtx(nil, dev, bad) // must not panic
 		}
 	}
 }

@@ -31,20 +31,16 @@ var DefaultSearchComponents = []string{
 	"HF", "RRE1", "RRE2", "RRE4", "RZE1", "TCMS1", "TCMS8", "BIT1", "DIFFMS1", "CLOG1", "TUPLQ1",
 }
 
-// Search evaluates every pipeline of 1..maxStages components (no immediate
-// repeats) on sample, returning results sorted by ratio (best first) with
-// the Pareto frontier marked. maxStages is clamped to [1,3] to keep the
-// enumeration tractable (the paper notes pipelines beyond 3-4 stages are
-// not necessary).
-func Search(dev *gpusim.Device, sample []byte, components []string, maxStages int) ([]SearchResult, error) {
-	return SearchCtx(nil, dev, sample, components, maxStages)
-}
-
-// SearchCtx is Search drawing every candidate's trial buffers from a
-// reusable codec context instead of allocating fresh working sets per
-// pipeline: the context is Reset before each candidate, so one warm set of
-// slots serves the whole enumeration. The context is left reset on return;
-// scratch the caller obtained from it earlier is invalidated.
+// SearchCtx evaluates every pipeline of 1..maxStages components (no
+// immediate repeats) on sample, returning results sorted by ratio (best
+// first) with the Pareto frontier marked. maxStages is clamped to [1,3] to
+// keep the enumeration tractable (the paper notes pipelines beyond 3-4
+// stages are not necessary).
+//
+// A non-nil ctx supplies every candidate's trial buffers: it is Reset
+// before each candidate, so one warm set of slots serves the whole
+// enumeration. The context is left reset on return; scratch the caller
+// obtained from it earlier is invalidated.
 func SearchCtx(ctx *arena.Ctx, dev *gpusim.Device, sample []byte, components []string, maxStages int) ([]SearchResult, error) {
 	if len(components) == 0 {
 		components = DefaultSearchComponents

@@ -23,7 +23,7 @@ func quantCodeLike(n int, seed int64) []byte {
 
 func TestSearchFindsFrontier(t *testing.T) {
 	sample := quantCodeLike(1<<15, 1)
-	results, err := Search(dev, sample, []string{"HF", "RRE1", "TCMS1", "BIT1"}, 2)
+	results, err := SearchCtx(nil, dev, sample, []string{"HF", "RRE1", "TCMS1", "BIT1"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +61,14 @@ func TestSearchFindsFrontier(t *testing.T) {
 }
 
 func TestSearchValidatesComponents(t *testing.T) {
-	if _, err := Search(dev, []byte{1, 2, 3}, []string{"NOPE"}, 1); err == nil {
+	if _, err := SearchCtx(nil, dev, []byte{1, 2, 3}, []string{"NOPE"}, 1); err == nil {
 		t.Fatal("want error for unknown component")
 	}
 }
 
 func TestSearchStageClamp(t *testing.T) {
 	sample := quantCodeLike(1<<10, 2)
-	results, err := Search(dev, sample, []string{"RRE1", "RZE1"}, 99)
+	results, err := SearchCtx(nil, dev, sample, []string{"RRE1", "RZE1"}, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSearchStageClamp(t *testing.T) {
 func TestSearchCtxMatchesSearch(t *testing.T) {
 	sample := quantCodeLike(1<<14, 4)
 	comps := []string{"HF", "RRE1", "TCMS1", "BIT1"}
-	want, err := Search(dev, sample, comps, 2)
+	want, err := SearchCtx(nil, dev, sample, comps, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSearchCtxMatchesSearch(t *testing.T) {
 
 func TestSearchDefaultComponents(t *testing.T) {
 	sample := quantCodeLike(1<<12, 3)
-	results, err := Search(dev, sample, nil, 1)
+	results, err := SearchCtx(nil, dev, sample, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,9 @@
 // prediction body (missing boundary rows substitute a shared zero row, so
 // one kernel covers interior and halo alike), and the prefix-sum scans add
 // and convert rows through 8-wide unrolled vector helpers. Every batched
-// pass keeps its scalar reference implementation, selected by the
-// package-level Batched toggle; the two are bit-identical by construction
-// (integer lattice arithmetic plus unchanged float op order) and the
-// property tests assert it.
+// pass has a per-point reference oracle in the package tests; the two are
+// bit-identical by construction (integer lattice arithmetic plus unchanged
+// float op order) and the equivalence tests assert it.
 package lorenzo
 
 import (
@@ -54,12 +53,6 @@ const chunkShift = 16
 // lanes is the unroll width of the batched kernels. Kernel chunk boundaries
 // are lane-aligned (gpusim.LaunchBatched), so only global tails run scalar.
 const lanes = 8
-
-// Batched selects the wide row kernels (the default). The scalar reference
-// implementations stay selectable so the equivalence property tests can
-// assert byte-identical codes, escapes, outliers and reconstructions
-// between the two paths. Toggle only from tests, before any launch.
-var Batched = true
 
 // auxKey is this package's scratch slot in an arena.Ctx; chunksKey holds
 // the per-chunk escape collectors (arena batch slots, persistent across
@@ -161,15 +154,12 @@ type Result struct {
 	Freq []int64
 }
 
-// Prequantize converts data to its integer lattice (round(v/2ε), clamped).
-func Prequantize(dev *gpusim.Device, data []float32, twoEB float64) []int64 {
-	return PrequantizeCtx(nil, dev, data, twoEB)
-}
-
 // prequantRange is the lattice-rounding kernel body over [lo, hi): 8-wide
 // groups over pinned views, scalar tail. The division by 2ε is kept (not
 // strength-reduced to a multiply) so results stay bit-identical to the
-// scalar reference.
+// scalar reference. ±Inf clamp to ±latticeCap and NaN takes the stand-in
+// 0 (the Go spec leaves int64(NaN) to the implementation); the
+// value-outlier check then stores every non-finite input exactly.
 //
 //cuszhi:hotpath
 func (k *kern) prequantRange(lo, hi int) {
@@ -188,6 +178,8 @@ func (k *kern) prequantRange(lo, hi int) {
 				q[l] = latticeCap
 			case r < -float64(latticeCap):
 				q[l] = -latticeCap
+			case math.IsNaN(r):
+				q[l] = 0
 			default:
 				q[l] = int64(r)
 			}
@@ -200,91 +192,27 @@ func (k *kern) prequantRange(lo, hi int) {
 			qv[i] = latticeCap
 		case r < -float64(latticeCap):
 			qv[i] = -latticeCap
+		case math.IsNaN(r):
+			qv[i] = 0
 		default:
 			qv[i] = int64(r)
 		}
 	}
 }
 
-// prequantRangeScalar is the per-point reference for prequantRange.
-func (k *kern) prequantRangeScalar(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		q := math.Round(float64(k.data[i]) / k.twoEB)
-		switch {
-		case q > float64(latticeCap):
-			k.qv[i] = latticeCap
-		case q < -float64(latticeCap):
-			k.qv[i] = -latticeCap
-		default:
-			k.qv[i] = int64(q)
-		}
-	}
-}
-
-// PrequantizeCtx is Prequantize drawing the lattice buffer from ctx (the
-// result is context scratch when ctx is non-nil).
+// PrequantizeCtx converts data to its integer lattice (round(v/2ε),
+// clamped), drawing the lattice buffer from ctx (the result is context
+// scratch when ctx is non-nil).
 func PrequantizeCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, twoEB float64) []int64 {
 	s := scratchFor(ctx)
 	qv := ctx.I64(len(data))
 	s.k.data, s.k.qv, s.k.twoEB, s.k.nData = data, qv, twoEB, len(data)
 	if s.prequantJob == nil {
-		k := &s.k
-		s.prequantJob = func(lo, hi int) {
-			if Batched {
-				k.prequantRange(lo, hi)
-			} else {
-				k.prequantRangeScalar(lo, hi)
-			}
-		}
+		s.prequantJob = s.k.prequantRange
 	}
 	dev.LaunchBatched(len(data), 1<<chunkShift, lanes, s.prequantJob)
 	s.k.data = nil // drop the caller's field so a pooled ctx never pins it
 	return qv
-}
-
-// Compress runs the dual-quant Lorenzo decomposition. eb is the absolute
-// error bound.
-func Compress(dev *gpusim.Device, data []float32, g Grid, eb float64) (*Result, error) {
-	return CompressCtx(nil, dev, data, g, eb)
-}
-
-// deltaRangeScalar is the per-point reference implementation of the
-// quantization sweep over the flat range [lo, hi): closure-free in name
-// only — it recomputes coordinates and probes every neighbor through the
-// boundary-checked at() accessor, exactly the shape the batched row kernel
-// replaces.
-func (k *kern) deltaRangeScalar(lo, hi int, ec *escChunk, hist *[Alphabet]uint32) {
-	g := k.g
-	qv := k.qv
-	nyx := g.Ny * g.Nx
-	for i := lo; i < hi; i++ {
-		x := i % g.Nx
-		y := (i / g.Nx) % g.Ny
-		z := i / nyx
-		at := func(dz, dy, dx int) int64 {
-			if z-dz < 0 || y-dy < 0 || x-dx < 0 {
-				return 0
-			}
-			return qv[i-dz*nyx-dy*g.Nx-dx]
-		}
-		pred := at(0, 0, 1) + at(0, 1, 0) + at(1, 0, 0) -
-			at(0, 1, 1) - at(1, 0, 1) - at(1, 1, 0) + at(1, 1, 1)
-		delta := qv[i] - pred
-		if delta >= -Radius && delta < Radius {
-			code := uint16(delta+Radius) + 1
-			k.codes[i] = code
-			hist[code]++
-		} else {
-			k.codes[i] = 0
-			hist[0]++
-			ec.deltas = append(ec.deltas, delta)
-		}
-		recon := float32(float64(qv[i]) * k.twoEB)
-		if math.Abs(float64(k.data[i])-float64(recon)) > k.eb {
-			ec.valPos = append(ec.valPos, i)
-			ec.valVals = append(ec.valVals, k.data[i])
-		}
-	}
 }
 
 // deltaRange is the batched quantization sweep over the flat range
@@ -366,7 +294,9 @@ func (k *kern) deltaRowWide(z, y, x0, x1 int, ec *escChunk, hist *[Alphabet]uint
 				ec.deltas = append(ec.deltas, delta)
 			}
 			recon := float32(float64(q) * k.twoEB)
-			if math.Abs(float64(d8[l])-float64(recon)) > k.eb {
+			// Negated so that a NaN error (a NaN or infinite input) fails
+			// the bound too.
+			if !(math.Abs(float64(d8[l])-float64(recon)) <= k.eb) {
 				ec.valPos = append(ec.valPos, base+x+l)
 				ec.valVals = append(ec.valVals, d8[l])
 			}
@@ -394,13 +324,14 @@ func (k *kern) emit(x, base int, q, pred int64, data []float32, codes []uint16, 
 		ec.deltas = append(ec.deltas, delta)
 	}
 	recon := float32(float64(q) * k.twoEB)
-	if math.Abs(float64(data[i])-float64(recon)) > k.eb {
+	if !(math.Abs(float64(data[i])-float64(recon)) <= k.eb) {
 		ec.valPos = append(ec.valPos, i)
 		ec.valVals = append(ec.valVals, data[i])
 	}
 }
 
-// CompressCtx is Compress with a reusable context: the code, lattice and
+// CompressCtx runs the dual-quant Lorenzo decomposition. eb is the
+// absolute error bound. With a non-nil ctx the code, lattice and
 // side-channel buffers (and Result.Freq) are context scratch, valid until
 // ctx.Reset.
 func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, g Grid, eb float64) (*Result, error) {
@@ -443,11 +374,7 @@ func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, g Grid, eb 
 		s.deltaJob = func(lo, hi int) {
 			ec := &k.chunks[lo>>chunkShift]
 			var hist [Alphabet]uint32
-			if Batched {
-				k.deltaRange(lo, hi, ec, &hist)
-			} else {
-				k.deltaRangeScalar(lo, hi, ec, &hist)
-			}
+			k.deltaRange(lo, hi, ec, &hist)
 			k.mu.Lock()
 			for sym, n := range hist {
 				if n != 0 {
@@ -476,14 +403,9 @@ func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, g Grid, eb 
 	return res, nil
 }
 
-// Decompress reconstructs the field.
-func Decompress(dev *gpusim.Device, res *Result, g Grid, eb float64) ([]float32, error) {
-	return DecompressCtx(nil, dev, res, g, eb)
-}
-
 // rebuildDeltas turns codes back into deltas in qv, consuming the escape
-// list in flat order. The batched path resolves 8 codes per step through a
-// branchless validity test: for valid codes c ∈ [1, Alphabet) the values
+// list in flat order. It resolves 8 codes per step through a branchless
+// validity test: for valid codes c ∈ [1, Alphabet) the values
 // c-1 stay below Alphabet-1, while c == 0 wraps to 0xFFFF — so one OR over
 // the group detects escapes and corrupt codes together, and clean groups
 // (the overwhelming majority) decode without per-lane branching.
@@ -493,33 +415,31 @@ func rebuildDeltas(qv []int64, codes []uint16, escapes []int64) (int, error) {
 	codes = codes[:n:n]
 	esc := 0
 	i := 0
-	if Batched {
-		for ; i+lanes <= n; i += lanes {
-			c := codes[i : i+lanes : i+lanes]
-			bad := (c[0] - 1) | (c[1] - 1) | (c[2] - 1) | (c[3] - 1) |
-				(c[4] - 1) | (c[5] - 1) | (c[6] - 1) | (c[7] - 1)
-			if bad < Alphabet-1 {
-				q := qv[i : i+lanes : i+lanes]
-				for l := 0; l < lanes; l++ {
-					q[l] = int64(c[l]) - 1 - Radius
+	for ; i+lanes <= n; i += lanes {
+		c := codes[i : i+lanes : i+lanes]
+		bad := (c[0] - 1) | (c[1] - 1) | (c[2] - 1) | (c[3] - 1) |
+			(c[4] - 1) | (c[5] - 1) | (c[6] - 1) | (c[7] - 1)
+		if bad < Alphabet-1 {
+			q := qv[i : i+lanes : i+lanes]
+			for l := 0; l < lanes; l++ {
+				q[l] = int64(c[l]) - 1 - Radius
+			}
+			continue
+		}
+		for l := 0; l < lanes; l++ {
+			cl := c[l]
+			if cl == 0 {
+				if esc >= len(escapes) {
+					return 0, fmt.Errorf("lorenzo: escape list exhausted at %d", i+l)
 				}
+				qv[i+l] = escapes[esc]
+				esc++
 				continue
 			}
-			for l := 0; l < lanes; l++ {
-				cl := c[l]
-				if cl == 0 {
-					if esc >= len(escapes) {
-						return 0, fmt.Errorf("lorenzo: escape list exhausted at %d", i+l)
-					}
-					qv[i+l] = escapes[esc]
-					esc++
-					continue
-				}
-				if int(cl) >= Alphabet {
-					return 0, fmt.Errorf("lorenzo: code %d out of range", cl)
-				}
-				qv[i+l] = int64(cl) - 1 - Radius
+			if int(cl) >= Alphabet {
+				return 0, fmt.Errorf("lorenzo: code %d out of range", cl)
 			}
+			qv[i+l] = int64(cl) - 1 - Radius
 		}
 	}
 	for ; i < n; i++ {
@@ -584,8 +504,8 @@ func scaleVec(dst []float32, src []int64, twoEB float64) {
 	}
 }
 
-// DecompressCtx is Decompress with a reusable context. With a non-nil ctx
-// the returned field is context scratch, valid until the next ctx.Reset.
+// DecompressCtx reconstructs the field. With a non-nil ctx the returned
+// field is context scratch, valid until the next ctx.Reset.
 func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, res *Result, g Grid, eb float64) ([]float32, error) {
 	if len(res.Codes) != g.Len() {
 		return nil, fmt.Errorf("lorenzo: %d codes for grid of %d points", len(res.Codes), g.Len())
@@ -627,42 +547,20 @@ func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, res *Result, g Grid, eb f
 			for y := 1; y < g.Ny; y++ {
 				row := base + y*g.Nx
 				prev := row - g.Nx
-				if Batched {
-					addVec(qv[row:row+g.Nx], qv[prev:prev+g.Nx])
-					continue
-				}
-				for x := 0; x < g.Nx; x++ {
-					qv[row+x] += qv[prev+x]
-				}
+				addVec(qv[row:row+g.Nx], qv[prev:prev+g.Nx])
 			}
 		}
 		s.zScanJob = func(lo, hi int) {
 			qv := k.qv
 			g := k.g
 			nyx := g.Ny * g.Nx
-			if Batched {
-				for z := 1; z < g.Nz; z++ {
-					base := z * nyx
-					addVec(qv[base+lo:base+hi], qv[base-nyx+lo:base-nyx+hi])
-				}
-				for z := 0; z < g.Nz; z++ {
-					base := z * nyx
-					scaleVec(k.out[base+lo:base+hi], qv[base+lo:base+hi], k.twoEB)
-				}
-				return
-			}
 			for z := 1; z < g.Nz; z++ {
 				base := z * nyx
-				prev := base - nyx
-				for i := lo; i < hi; i++ {
-					qv[base+i] += qv[prev+i]
-				}
+				addVec(qv[base+lo:base+hi], qv[base-nyx+lo:base-nyx+hi])
 			}
 			for z := 0; z < g.Nz; z++ {
 				base := z * nyx
-				for i := lo; i < hi; i++ {
-					k.out[base+i] = float32(float64(qv[base+i]) * k.twoEB)
-				}
+				scaleVec(k.out[base+lo:base+hi], qv[base+lo:base+hi], k.twoEB)
 			}
 		}
 	}

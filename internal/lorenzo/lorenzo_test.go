@@ -15,11 +15,11 @@ var dev = gpusim.New(4)
 func roundTrip(t *testing.T, data []float32, dims []int, eb float64) *Result {
 	t.Helper()
 	g := NewGrid(dims)
-	res, err := Compress(dev, data, g, eb)
+	res, err := CompressCtx(nil, dev, data, g, eb)
 	if err != nil {
 		t.Fatalf("Compress: %v", err)
 	}
-	recon, err := Decompress(dev, res, g, eb)
+	recon, err := DecompressCtx(nil, dev, res, g, eb)
 	if err != nil {
 		t.Fatalf("Decompress: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestCodesConcentratedOnSmoothData(t *testing.T) {
 	}
 	eb := metrics.AbsEB(f.Data, 1e-2)
 	g := NewGrid(f.Dims)
-	res, err := Compress(dev, f.Data, g, eb)
+	res, err := CompressCtx(nil, dev, f.Data, g, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 	dims := []int{17, 23, 29}
 	data := smoothField(dims, 8)
 	g := NewGrid(dims)
-	a, err := Compress(dev, data, g, 1e-3)
+	a, err := CompressCtx(nil, dev, data, g, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compress(gpusim.New(1), data, g, 1e-3)
+	b, err := CompressCtx(nil, gpusim.New(1), data, g, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,41 +142,41 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 func TestDecompressErrors(t *testing.T) {
 	g := NewGrid([]int{4, 4, 4})
 	data := smoothField([]int{4, 4, 4}, 9)
-	res, err := Compress(dev, data, g, 1e-3)
+	res, err := CompressCtx(nil, dev, data, g, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Wrong grid.
-	if _, err := Decompress(dev, res, NewGrid([]int{5, 5, 5}), 1e-3); err == nil {
+	if _, err := DecompressCtx(nil, dev, res, NewGrid([]int{5, 5, 5}), 1e-3); err == nil {
 		t.Fatal("want grid mismatch error")
 	}
 	// Truncated escapes with forced escape code.
 	bad := &Result{Codes: append([]uint16(nil), res.Codes...), Escapes: nil, ValOutliers: res.ValOutliers}
 	bad.Codes[10] = 0
-	if _, err := Decompress(dev, bad, g, 1e-3); err == nil {
+	if _, err := DecompressCtx(nil, dev, bad, g, 1e-3); err == nil {
 		t.Fatal("want escape exhaustion error")
 	}
 	// Out-of-range code.
 	bad2 := &Result{Codes: append([]uint16(nil), res.Codes...), Escapes: res.Escapes, ValOutliers: res.ValOutliers}
 	bad2.Codes[0] = Alphabet + 5
-	if _, err := Decompress(dev, bad2, g, 1e-3); err == nil {
+	if _, err := DecompressCtx(nil, dev, bad2, g, 1e-3); err == nil {
 		t.Fatal("want code range error")
 	}
 }
 
 func TestCompressErrors(t *testing.T) {
 	g := NewGrid([]int{4, 4, 4})
-	if _, err := Compress(dev, make([]float32, 10), g, 1e-3); err == nil {
+	if _, err := CompressCtx(nil, dev, make([]float32, 10), g, 1e-3); err == nil {
 		t.Fatal("want size mismatch")
 	}
-	if _, err := Compress(dev, make([]float32, 64), g, -1); err == nil {
+	if _, err := CompressCtx(nil, dev, make([]float32, 64), g, -1); err == nil {
 		t.Fatal("want eb error")
 	}
 }
 
 func TestPrequantizeClamps(t *testing.T) {
 	data := []float32{3.4e38, -3.4e38, 0, 1}
-	qv := Prequantize(dev, data, 1e-30)
+	qv := PrequantizeCtx(nil, dev, data, 1e-30)
 	if qv[0] != latticeCap || qv[1] != -latticeCap {
 		t.Fatalf("clamping failed: %v", qv[:2])
 	}
@@ -184,7 +184,7 @@ func TestPrequantizeClamps(t *testing.T) {
 	if qv[2] != 0 || qv[3] != latticeCap {
 		t.Fatalf("values wrong: %v", qv[2:])
 	}
-	qv2 := Prequantize(dev, []float32{1, -0.25}, 0.5)
+	qv2 := PrequantizeCtx(nil, dev, []float32{1, -0.25}, 0.5)
 	if qv2[0] != 2 || qv2[1] != -1 {
 		t.Fatalf("normal lattice wrong: %v", qv2)
 	}

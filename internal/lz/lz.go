@@ -221,13 +221,8 @@ func expand(ctx *arena.Ctx, seqs []seq, lits []byte, origLen, inLen int) ([]byte
 // ---------------------------------------------------------------------------
 // Containers.
 
-// Encode compresses src with the chosen variant.
-func Encode(dev *gpusim.Device, src []byte, v Variant) ([]byte, error) {
-	return EncodeCtx(nil, dev, src, v)
-}
-
-// EncodeCtx is Encode drawing matcher and stage scratch from a reusable
-// codec context (nil behaves like Encode). The returned stream is a fresh
+// EncodeCtx compresses src with the chosen variant, drawing matcher and
+// stage scratch from ctx (nil allocates). The returned stream is a fresh
 // allocation owned by the caller.
 func EncodeCtx(ctx *arena.Ctx, dev *gpusim.Device, src []byte, v Variant) ([]byte, error) {
 	switch v {
@@ -243,13 +238,8 @@ func EncodeCtx(ctx *arena.Ctx, dev *gpusim.Device, src []byte, v Variant) ([]byt
 	return nil, fmt.Errorf("lz: unknown variant %d", v)
 }
 
-// Decode reverses Encode for the same variant.
-func Decode(dev *gpusim.Device, data []byte, v Variant) ([]byte, error) {
-	return DecodeCtx(nil, dev, data, v)
-}
-
-// DecodeCtx is Decode with a reusable context. With a non-nil ctx the
-// returned stream is context scratch, valid until the next ctx.Reset.
+// DecodeCtx reverses EncodeCtx for the same variant. With a non-nil ctx
+// the returned stream is context scratch, valid until the next ctx.Reset.
 func DecodeCtx(ctx *arena.Ctx, dev *gpusim.Device, data []byte, v Variant) ([]byte, error) {
 	switch v {
 	case LZ4Lite:

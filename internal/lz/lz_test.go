@@ -40,11 +40,11 @@ func TestRoundTripAllVariants(t *testing.T) {
 	vecs := testVectors(rng)
 	for _, v := range variants {
 		for vi, data := range vecs {
-			enc, err := Encode(dev, data, v)
+			enc, err := EncodeCtx(nil, dev, data, v)
 			if err != nil {
 				t.Fatalf("%s vec %d encode: %v", v, vi, err)
 			}
-			dec, err := Decode(dev, enc, v)
+			dec, err := DecodeCtx(nil, dev, enc, v)
 			if err != nil {
 				t.Fatalf("%s vec %d decode: %v", v, vi, err)
 			}
@@ -58,7 +58,7 @@ func TestRoundTripAllVariants(t *testing.T) {
 func TestCompressesRepeats(t *testing.T) {
 	data := bytes.Repeat([]byte("0123456789abcdef"), 4096)
 	for _, v := range variants {
-		enc, err := Encode(dev, data, v)
+		enc, err := EncodeCtx(nil, dev, data, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,11 +76,11 @@ func TestZstdLiteBeatsLZ4LiteOnSkewedLiterals(t *testing.T) {
 	for i := range data {
 		data[i] = byte(rng.NormFloat64()*4) + 128
 	}
-	encZ, err := Encode(dev, data, ZstdLite)
+	encZ, err := EncodeCtx(nil, dev, data, ZstdLite)
 	if err != nil {
 		t.Fatal(err)
 	}
-	encL, err := Encode(dev, data, LZ4Lite)
+	encL, err := EncodeCtx(nil, dev, data, LZ4Lite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestOverlappingMatches(t *testing.T) {
 	// RLE-style overlap: dist < matchLen.
 	data := append([]byte{5}, bytes.Repeat([]byte{5}, 1000)...)
 	for _, v := range variants {
-		enc, err := Encode(dev, data, v)
+		enc, err := EncodeCtx(nil, dev, data, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := Decode(dev, enc, v)
+		dec, err := DecodeCtx(nil, dev, enc, v)
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
@@ -111,26 +111,26 @@ func TestDecodeCorruptNoPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	data := bytes.Repeat([]byte("hello world "), 500)
 	for _, v := range variants {
-		enc, err := Encode(dev, data, v)
+		enc, err := EncodeCtx(nil, dev, data, v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, cut := range []int{0, 1, len(enc) / 3, len(enc) - 1} {
-			Decode(dev, enc[:cut], v) // must not panic
+			DecodeCtx(nil, dev, enc[:cut], v) // must not panic
 		}
 		for trial := 0; trial < 30; trial++ {
 			bad := append([]byte(nil), enc...)
 			bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-			Decode(dev, bad, v) // must not panic
+			DecodeCtx(nil, dev, bad, v) // must not panic
 		}
 	}
 }
 
 func TestUnknownVariant(t *testing.T) {
-	if _, err := Encode(dev, []byte("x"), Variant(99)); err == nil {
+	if _, err := EncodeCtx(nil, dev, []byte("x"), Variant(99)); err == nil {
 		t.Fatal("want error for unknown variant")
 	}
-	if _, err := Decode(dev, []byte("x"), Variant(99)); err == nil {
+	if _, err := DecodeCtx(nil, dev, []byte("x"), Variant(99)); err == nil {
 		t.Fatal("want error for unknown variant")
 	}
 }
@@ -155,11 +155,11 @@ func TestRoundTripProperty(t *testing.T) {
 	for _, v := range variants {
 		v := v
 		f := func(data []byte) bool {
-			enc, err := Encode(dev, data, v)
+			enc, err := EncodeCtx(nil, dev, data, v)
 			if err != nil {
 				return false
 			}
-			dec, err := Decode(dev, enc, v)
+			dec, err := DecodeCtx(nil, dev, enc, v)
 			return err == nil && bytes.Equal(dec, data)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -175,7 +175,7 @@ func TestCtxMatchesContextFree(t *testing.T) {
 	for _, v := range variants {
 		ctx := arena.NewCtx()
 		for _, src := range testVectors(rng) {
-			want, err := Encode(dev, src, v)
+			want, err := EncodeCtx(nil, dev, src, v)
 			if err != nil {
 				t.Fatalf("%v: %v", v, err)
 			}
@@ -252,7 +252,7 @@ func TestDecodeVarintHostileMatchLen(t *testing.T) {
 	bad = bitio.AppendUvarint(bad, 1)     // dist
 	done := make(chan error, 1)
 	go func() {
-		_, err := Decode(dev, bad, LZ4Lite)
+		_, err := DecodeCtx(nil, dev, bad, LZ4Lite)
 		done <- err
 	}()
 	select {

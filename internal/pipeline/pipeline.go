@@ -97,17 +97,13 @@ func (p *Pool[T]) Close() {
 // Wait blocks until all workers have exited. Call after Close.
 func (p *Pool[T]) Wait() { p.wg.Wait() }
 
-// Map runs fn(0..n-1) on up to `workers` goroutines and returns the results
-// in index order. The first error wins and is returned after all in-flight
-// jobs settle; results are then invalid.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapWorker(workers, n, func(_, i int) (T, error) { return fn(i) })
-}
-
-// MapWorker is Map where fn also receives the executing worker's slot id in
-// [0, workers): jobs running concurrently always see distinct slots, so
-// callers can maintain per-worker state (codec contexts, scratch arenas)
-// without locking. The slot count it passes never exceeds min(workers, n).
+// MapWorker runs fn(worker, 0..n-1) on up to `workers` goroutines and
+// returns the results in index order. The first error wins and is returned
+// after all in-flight jobs settle; results are then invalid. fn also
+// receives the executing worker's slot id in [0, workers): jobs running
+// concurrently always see distinct slots, so callers can maintain
+// per-worker state (codec contexts, scratch arenas) without locking. The
+// slot count it passes never exceeds min(workers, n).
 func MapWorker[T any](workers, n int, fn func(worker, i int) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("pipeline: negative job count %d", n)

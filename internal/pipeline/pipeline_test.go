@@ -9,7 +9,7 @@ import (
 
 func TestMapOrder(t *testing.T) {
 	for _, workers := range []int{1, 3, 8, 100} {
-		got, err := Map(workers, 50, func(i int) (int, error) { return i * i, nil })
+		got, err := MapWorker(workers, 50, func(_, i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -22,7 +22,7 @@ func TestMapOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	got, err := Map[int](4, 0, func(int) (int, error) { t.Fatal("called"); return 0, nil })
+	got, err := MapWorker[int](4, 0, func(_, _ int) (int, error) { t.Fatal("called"); return 0, nil })
 	if err != nil || got != nil {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -30,7 +30,7 @@ func TestMapEmpty(t *testing.T) {
 
 func TestMapError(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Map(4, 100, func(i int) (int, error) {
+	_, err := MapWorker(4, 100, func(_, i int) (int, error) {
 		if i == 17 {
 			return 0, boom
 		}
@@ -44,7 +44,7 @@ func TestMapError(t *testing.T) {
 func TestMapStopsAfterError(t *testing.T) {
 	var calls atomic.Int64
 	boom := errors.New("boom")
-	_, err := Map(2, 1000, func(i int) (int, error) {
+	_, err := MapWorker(2, 1000, func(_, i int) (int, error) {
 		calls.Add(1)
 		if i == 0 {
 			return 0, boom

@@ -14,14 +14,14 @@ import (
 func TestParseOutliersHostileCounts(t *testing.T) {
 	// Hostile count.
 	blob := bitio.AppendUvarint(nil, 1<<63)
-	if _, _, err := ParseOutliers(blob); !errors.Is(err, ErrCorrupt) {
+	if _, err := ParseOutliersInto(nil, &Outliers{}, blob); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("count 2^63: got %v, want ErrCorrupt", err)
 	}
 	// Valid count, hostile delta.
 	blob = bitio.AppendUvarint(nil, 1)
 	blob = bitio.AppendUvarint(blob, 1<<63)
 	blob = append(blob, 0, 0, 0, 0) // value bytes
-	if _, _, err := ParseOutliers(blob); !errors.Is(err, ErrCorrupt) {
+	if _, err := ParseOutliersInto(nil, &Outliers{}, blob); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("delta 2^63: got %v, want ErrCorrupt", err)
 	}
 }

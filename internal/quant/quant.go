@@ -113,17 +113,6 @@ func (o *Outliers) Serialize(dst []byte) []byte {
 	return dst
 }
 
-// ParseOutliers decodes a section produced by Serialize, returning the
-// outliers and the number of bytes consumed.
-func ParseOutliers(p []byte) (*Outliers, int, error) {
-	o := &Outliers{}
-	used, err := ParseOutliersInto(nil, o, p)
-	if err != nil {
-		return nil, 0, err
-	}
-	return o, used, nil
-}
-
 // ParseOutliersInto decodes a section produced by Serialize into o, drawing
 // o's backing arrays from ctx (scratch, valid until ctx.Reset; plain
 // allocations when ctx is nil). It returns the number of bytes consumed.
@@ -178,19 +167,6 @@ func (o *Outliers) SortedGet(pos int) (float32, bool) {
 // ---------------------------------------------------------------------------
 // Level-order reordering (Eq. 3).
 
-// LevelOrderPerm returns the Eq. 3 permutation for a grid with the given
-// dims (slowest dim first, up to 3 dims) and anchor stride A (power of two):
-// perm[k] is the flat natural index of the k-th element of the reordered
-// sequence. Codes from the anchor lattice come first, then each finer
-// interpolation level in coarse-to-fine order, matching §5.1.4 ("codes from
-// the larger interpolation strides appear first").
-//
-// The codec reorders with Gather and Scatter, which walk this order in
-// closed form; the materialized table is their reference.
-func LevelOrderPerm(dims []int, anchorStride int) []int32 {
-	return LevelOrderPermCtx(nil, dims, anchorStride)
-}
-
 // permMemo caches the last permutation computed through a context, so a
 // caller applying the same (dims, stride) permutation to every shard
 // rebuilds it once per context.
@@ -201,9 +177,18 @@ type permMemo struct {
 
 var permAuxKey = arena.NewAuxKey()
 
-// LevelOrderPermCtx is LevelOrderPerm memoized on ctx: the returned slice
-// is owned by the context (do not modify) and stays valid across Resets.
-// It holds one int32 per point, so the codec itself uses Gather/Scatter.
+// LevelOrderPermCtx returns the Eq. 3 permutation for a grid with the
+// given dims (slowest dim first, up to 3 dims) and anchor stride A (power
+// of two): perm[k] is the flat natural index of the k-th element of the
+// reordered sequence. Codes from the anchor lattice come first, then each
+// finer interpolation level in coarse-to-fine order, matching §5.1.4
+// ("codes from the larger interpolation strides appear first").
+//
+// The codec reorders with Gather and Scatter, which walk this order in
+// closed form; the materialized table is their reference. With a non-nil
+// ctx the result is memoized on it: the returned slice is owned by the
+// context (do not modify) and stays valid across Resets. It holds one
+// int32 per point, so the codec itself uses Gather/Scatter.
 func LevelOrderPermCtx(ctx *arena.Ctx, dims []int, anchorStride int) []int32 {
 	nz, ny, nx := norm3(dims)
 	if ctx != nil {
@@ -241,7 +226,7 @@ func levelOrderPerm(nz, ny, nx, anchorStride int) []int32 {
 }
 
 // Apply gathers src into level order through a permutation table:
-// dst[k] = src[perm[k]]. Gather does the same for LevelOrderPerm's table
+// dst[k] = src[perm[k]]. Gather does the same for LevelOrderPermCtx's table
 // without building it, with Apply as its reference. The kernel runs
 // 8-wide over pinned views of the sequential side; only the gather loads
 // stay bounds-checked (their indices are data-dependent).
@@ -300,7 +285,7 @@ func Invert(dev *gpusim.Device, perm []int32, src, dst []uint8) {
 }
 
 // Gather writes natural-order codes in Eq. 3 level order, exactly as
-// Apply(dev, LevelOrderPerm(dims, anchorStride), natural, ordered) does,
+// Apply(dev, LevelOrderPermCtx(nil, dims, anchorStride), natural, ordered) does,
 // without the table: level l's sequence is its z-planes in turn, and each
 // plane's offset in it is closed-form, so one launch block per (level,
 // z-plane) copies strided rows straight across.
@@ -309,7 +294,7 @@ func Gather(dev *gpusim.Device, dims []int, anchorStride int, natural, ordered [
 }
 
 // Scatter reverses Gather: it writes level-ordered codes back to natural
-// order, exactly as Invert with LevelOrderPerm's table does.
+// order, exactly as Invert with LevelOrderPermCtx's table does.
 func Scatter(dev *gpusim.Device, dims []int, anchorStride int, ordered, natural []uint8) {
 	walkLevelOrder(dev, dims, anchorStride, natural, ordered, true)
 }

@@ -77,7 +77,8 @@ func TestOutliersRoundTrip(t *testing.T) {
 		o.Append(pos, float32(rng.NormFloat64()))
 	}
 	blob := o.Serialize(nil)
-	got, used, err := ParseOutliers(blob)
+	got := &Outliers{}
+	used, err := ParseOutliersInto(nil, got, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,8 @@ func TestOutliersRoundTrip(t *testing.T) {
 func TestOutliersEmpty(t *testing.T) {
 	o := &Outliers{}
 	blob := o.Serialize(nil)
-	got, _, err := ParseOutliers(blob)
+	got := &Outliers{}
+	_, err := ParseOutliersInto(nil, got, blob)
 	if err != nil || got.Len() != 0 {
 		t.Fatalf("empty round trip: %v, len %d", err, got.Len())
 	}
@@ -123,7 +125,7 @@ func TestParseOutliersCorrupt(t *testing.T) {
 	o.Append(10, 2.5)
 	blob := o.Serialize(nil)
 	for cut := 0; cut < len(blob); cut++ {
-		if _, _, err := ParseOutliers(blob[:cut]); err == nil {
+		if _, err := ParseOutliersInto(nil, &Outliers{}, blob[:cut]); err == nil {
 			t.Fatalf("truncation to %d: want error", cut)
 		}
 	}
@@ -142,7 +144,7 @@ func TestLevelOrderPermIsPermutation(t *testing.T) {
 		{[]int{1, 1, 1}, 16},
 		{[]int{5, 3, 2}, 16},
 	} {
-		perm := LevelOrderPerm(tc.dims, tc.stride)
+		perm := LevelOrderPermCtx(nil, tc.dims, tc.stride)
 		n := 1
 		for _, d := range tc.dims {
 			n *= d
@@ -164,7 +166,7 @@ func TestLevelOrderCoarseFirst(t *testing.T) {
 	// Anchors (all coords ≡ 0 mod A) must occupy the head of the sequence.
 	dims := []int{32, 32, 32}
 	A := 16
-	perm := LevelOrderPerm(dims, A)
+	perm := LevelOrderPermCtx(nil, dims, A)
 	nAnchors := 2 * 2 * 2
 	for k := 0; k < nAnchors; k++ {
 		idx := int(perm[k])
@@ -187,7 +189,7 @@ func TestLevelOrderCoarseFirst(t *testing.T) {
 
 func TestApplyInvertRoundTrip(t *testing.T) {
 	dims := []int{24, 19, 31}
-	perm := LevelOrderPerm(dims, 16)
+	perm := LevelOrderPermCtx(nil, dims, 16)
 	n := len(perm)
 	src := make([]uint8, n)
 	rng := rand.New(rand.NewSource(3))
@@ -234,7 +236,7 @@ func TestReorderGroupsLevels(t *testing.T) {
 			}
 		}
 	}
-	perm := LevelOrderPerm(dims, A)
+	perm := LevelOrderPermCtx(nil, dims, A)
 	dst := make([]uint8, len(src))
 	Apply(dev, perm, src, dst)
 	if !sort.SliceIsSorted(dst, func(i, j int) bool { return dst[i] > dst[j] }) {
@@ -260,7 +262,7 @@ func TestQuantizeRoundTripProperty(t *testing.T) {
 }
 
 // TestGatherScatterMatchPerm pins the closed-form level-order walk to the
-// LevelOrderPerm table in both directions: Gather equals Apply and Scatter
+// LevelOrderPermCtx table in both directions: Gather equals Apply and Scatter
 // equals Invert, over rank 1–4 dims (including sizes that are not
 // multiples of the stride and degenerate unit dims), strides 1–16, and 1
 // and 4 workers. Scatter runs over two different prefills, so a position
@@ -279,7 +281,7 @@ func TestGatherScatterMatchPerm(t *testing.T) {
 			n *= d
 		}
 		for _, stride := range []int{1, 2, 4, 8, 16} {
-			perm := LevelOrderPerm(dims, stride)
+			perm := LevelOrderPermCtx(nil, dims, stride)
 			natural := make([]uint8, n)
 			rng.Read(natural)
 			want := make([]uint8, n)

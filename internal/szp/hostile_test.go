@@ -22,7 +22,7 @@ func hostileHeader(n uint64) []byte {
 func TestDecompressHostileWireCounts(t *testing.T) {
 	// Element count past the absolute cap.
 	blob := bitio.AppendUvarint(nil, 1<<63)
-	if _, err := Decompress(dev, blob); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecompressCtx(nil, dev, blob); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("n 2^63: got %v, want ErrCorrupt", err)
 	}
 
@@ -33,7 +33,7 @@ func TestDecompressHostileWireCounts(t *testing.T) {
 	blob = bitio.AppendUvarint(blob, 1)     // one outlier
 	blob = bitio.AppendUvarint(blob, 1<<62) // hostile delta
 	blob = append(blob, 0, 0, 0, 0)         // value bytes
-	if _, err := Decompress(dev, blob); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecompressCtx(nil, dev, blob); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("outlier delta 2^62: got %v, want ErrCorrupt", err)
 	}
 
@@ -44,7 +44,7 @@ func TestDecompressHostileWireCounts(t *testing.T) {
 	blob = bitio.AppendUvarint(blob, 0)     // no outliers
 	blob = bitio.AppendUvarint(blob, 1)     // one chunk (matches n=32)
 	blob = bitio.AppendUvarint(blob, 1<<63) // hostile chunk length
-	if _, err := Decompress(dev, blob); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecompressCtx(nil, dev, blob); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("chunk len 2^63: got %v, want ErrCorrupt", err)
 	}
 }

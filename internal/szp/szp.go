@@ -50,13 +50,8 @@ type encChunk struct {
 	outVal []float32
 }
 
-// Compress encodes data under absolute error bound eb.
-func Compress(dev *gpusim.Device, data []float32, eb float64) ([]byte, error) {
-	return CompressCtx(nil, dev, data, eb)
-}
-
-// CompressCtx is Compress drawing all working memory from a reusable codec
-// context (nil behaves like Compress). The returned container is a fresh
+// CompressCtx encodes data under absolute error bound eb, drawing working
+// memory from ctx (nil allocates). The returned container is a fresh
 // allocation owned by the caller; only internal scratch is pooled.
 func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, eb float64) ([]byte, error) {
 	if eb <= 0 {
@@ -152,13 +147,8 @@ func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, eb float64)
 	return out, nil
 }
 
-// Decompress reverses Compress.
-func Decompress(dev *gpusim.Device, blob []byte) ([]float32, error) {
-	return DecompressCtx(nil, dev, blob)
-}
-
-// DecompressCtx is Decompress with a reusable context. With a non-nil ctx
-// the returned field is context scratch, valid until the next ctx.Reset.
+// DecompressCtx reverses CompressCtx. With a non-nil ctx the returned
+// field is context scratch, valid until the next ctx.Reset.
 //
 //cuszhi:hotpath
 func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float32, error) {

@@ -16,11 +16,11 @@ var dev = gpusim.New(4)
 
 func roundTrip(t *testing.T, data []float32, eb float64) []byte {
 	t.Helper()
-	blob, err := Compress(dev, data, eb)
+	blob, err := CompressCtx(nil, dev, data, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, err := Decompress(dev, blob)
+	recon, err := DecompressCtx(nil, dev, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestDataset(t *testing.T) {
 }
 
 func TestCompressErrors(t *testing.T) {
-	if _, err := Compress(dev, []float32{1}, 0); err == nil {
+	if _, err := CompressCtx(nil, dev, []float32{1}, 0); err == nil {
 		t.Fatal("want eb error")
 	}
 }
@@ -106,19 +106,19 @@ func TestDecompressCorrupt(t *testing.T) {
 	for i := range data {
 		data[i] = float32(rng.NormFloat64())
 	}
-	blob, err := Compress(dev, data, 1e-3)
+	blob, err := CompressCtx(nil, dev, data, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 1, 4, len(blob) / 2, len(blob) - 1} {
-		if _, err := Decompress(dev, blob[:cut]); err == nil {
+		if _, err := DecompressCtx(nil, dev, blob[:cut]); err == nil {
 			t.Fatalf("truncation to %d: want error", cut)
 		}
 	}
 	for trial := 0; trial < 30; trial++ {
 		bad := append([]byte(nil), blob...)
 		bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-		Decompress(dev, bad) // must not panic
+		DecompressCtx(nil, dev, bad) // must not panic
 	}
 }
 
@@ -129,7 +129,7 @@ func TestCtxMatchesContextFree(t *testing.T) {
 	for i := range data {
 		data[i] = float32(math.Sin(float64(i) * 0.002))
 	}
-	want, err := Compress(dev, data, 1e-3)
+	want, err := CompressCtx(nil, dev, data, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +205,11 @@ func TestNaNRoundTrip(t *testing.T) {
 	for _, i := range []int{0, 31, 32, 1001, 2047, 3000, 3001, 4095} {
 		data[i] = nan
 	}
-	blob, err := Compress(dev, data, eb)
+	blob, err := CompressCtx(nil, dev, data, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, err := Decompress(dev, blob)
+	recon, err := DecompressCtx(nil, dev, blob)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,9 @@ const (
 // persistent across Reset so steady-state appends never grow).
 var chunksKey = arena.NewAuxKey()
 
-// Batched selects the packed-payload kernels (combined sign+exponent and
-// mantissa fields written through bitio.WritePacked64); tests flip it to
-// compare against the scalar per-value reference path. Both paths emit
-// byte-identical containers.
-var Batched = true
+// denormFloorExp is math.Frexp's exponent of the smallest normal float32,
+// 2^-126 = 0.5·2^-125: every denormal shares its mantissa LSB weight.
+const denormFloorExp = -125
 
 // encChunk is one chunk's persistent encode scratch. Exactly one kernel
 // invocation touches a given chunk slot per launch.
@@ -64,7 +62,10 @@ func mantissaBitsFor(maxAbs float32, eb float64) int {
 	}
 	// Truncating k low mantissa bits of a value with exponent e introduces
 	// at most 2^(e-23+k); require that <= eb for the block's max exponent.
+	// A denormal's mantissa LSB is fixed at 2^-149, the LSB of the smallest
+	// normal exponent, so its exponent is clamped to that floor.
 	_, e := math.Frexp(float64(maxAbs))
+	e = max(e, denormFloorExp)
 	for keep := 0; keep <= 23; keep++ {
 		errBound := math.Ldexp(1, e-keep)
 		if errBound <= eb {
@@ -74,13 +75,8 @@ func mantissaBitsFor(maxAbs float32, eb float64) int {
 	return 23
 }
 
-// Compress encodes data under absolute error bound eb.
-func Compress(dev *gpusim.Device, data []float32, eb float64) ([]byte, error) {
-	return CompressCtx(nil, dev, data, eb)
-}
-
-// CompressCtx is Compress drawing all working memory from a reusable codec
-// context (nil behaves like Compress). The returned container is a fresh
+// CompressCtx encodes data under absolute error bound eb, drawing working
+// memory from ctx (nil allocates). The returned container is a fresh
 // allocation owned by the caller; only internal scratch is pooled.
 func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, eb float64) ([]byte, error) {
 	if eb <= 0 {
@@ -103,32 +99,21 @@ func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, eb float64)
 				hi = n
 			}
 			vals := data[lo:hi]
-			// Mean and range test for the constant path. The batched kernel
-			// splits the finite test (an integer exponent check) from the
-			// sum; the sum itself stays a sequential float64 reduction so
-			// both paths compute bit-identical means.
+			// Mean and range test for the constant path. The finite test
+			// (an integer exponent check) runs apart from the sum; the sum
+			// itself stays a sequential float64 reduction, so the mean is
+			// bit-identical to the per-value reference.
 			var sum float64
 			finite := true
-			if Batched {
-				for _, v := range vals {
-					if math.Float32bits(v)>>23&0xFF == 0xFF {
-						finite = false
-						break
-					}
+			for _, v := range vals {
+				if math.Float32bits(v)>>23&0xFF == 0xFF {
+					finite = false
+					break
 				}
-				if finite {
-					for _, v := range vals {
-						sum += float64(v)
-					}
-				}
-			} else {
+			}
+			if finite {
 				for _, v := range vals {
-					f := float64(v)
-					if math.IsNaN(f) || math.IsInf(f, 0) {
-						finite = false
-						break
-					}
-					sum += f
+					sum += float64(v)
 				}
 			}
 			if finite {
@@ -150,26 +135,17 @@ func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, eb float64)
 				}
 			}
 			// Non-constant: keep sign+exponent (9 bits) plus enough mantissa.
-			// Batched maxAbs compares magnitude bit patterns as integers
-			// (IEEE ordering matches unsigned ordering for non-negative
-			// floats); when non-finite values are present keep is forced to
-			// 23 on both paths, so any maxAbs difference there is moot.
-			var maxAbs float32
-			if Batched {
-				var mb uint32
-				for _, v := range vals {
-					if b := math.Float32bits(v) &^ (1 << 31); b > mb {
-						mb = b
-					}
-				}
-				maxAbs = math.Float32frombits(mb)
-			} else {
-				for _, v := range vals {
-					if a := float32(math.Abs(float64(v))); a > maxAbs {
-						maxAbs = a
-					}
+			// maxAbs compares magnitude bit patterns as integers (IEEE
+			// ordering matches unsigned ordering for non-negative floats);
+			// when non-finite values are present keep is forced to 23, so a
+			// NaN's bit pattern winning here is moot.
+			var mb uint32
+			for _, v := range vals {
+				if b := math.Float32bits(v) &^ (1 << 31); b > mb {
+					mb = b
 				}
 			}
+			maxAbs := math.Float32frombits(mb)
 			keep := mantissaBitsFor(maxAbs, eb)
 			if !finite {
 				keep = 23 // store losslessly when non-finite values are present
@@ -177,29 +153,18 @@ func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, eb float64)
 			w := &co.w
 			w.Reset()
 			w.WriteBits(uint64(keep), 5)
-			if Batched {
-				// Fuse the two per-value fields into one 9+keep-bit word:
-				// WriteBits(se,9) then WriteBits(m,keep) lands se in the low
-				// 9 bits LSB-first, exactly se|m<<9 at the combined width,
-				// so the packed writer emits a byte-identical payload.
-				width := uint(9 + keep)
-				var cs [blockVals]uint64
-				for i, v := range vals {
-					bits := math.Float32bits(v)
-					m := uint64(bits>>(23-uint(keep))) & ((1 << uint(keep)) - 1)
-					cs[i] = uint64(bits>>23) | m<<9
-				}
-				w.WritePacked64(cs[:len(vals)], width)
-			} else {
-				for _, v := range vals {
-					bits := math.Float32bits(v)
-					// sign+exponent then the kept high mantissa bits.
-					w.WriteBits(uint64(bits>>23), 9)
-					if keep > 0 {
-						w.WriteBits(uint64(bits>>(23-uint(keep)))&((1<<uint(keep))-1), uint(keep))
-					}
-				}
+			// Fuse the two per-value fields into one 9+keep-bit word:
+			// WriteBits(se,9) then WriteBits(m,keep) lands se in the low 9
+			// bits LSB-first, exactly se|m<<9 at the combined width, so the
+			// packed writer emits the per-value writer's bytes.
+			width := uint(9 + keep)
+			var cs [blockVals]uint64
+			for i, v := range vals {
+				bits := math.Float32bits(v)
+				m := uint64(bits>>(23-uint(keep))) & ((1 << uint(keep)) - 1)
+				cs[i] = uint64(bits>>23) | m<<9
 			}
+			w.WritePacked64(cs[:len(vals)], width)
 			payload := w.Bytes()
 			co.body = append(co.body, 0x00)
 			co.body = append(co.body, payload...)
@@ -225,13 +190,8 @@ func CompressCtx(ctx *arena.Ctx, dev *gpusim.Device, data []float32, eb float64)
 	return out, nil
 }
 
-// Decompress reverses Compress.
-func Decompress(dev *gpusim.Device, blob []byte) ([]float32, error) {
-	return DecompressCtx(nil, dev, blob)
-}
-
-// DecompressCtx is Decompress with a reusable context. With a non-nil ctx
-// the returned field is context scratch, valid until the next ctx.Reset.
+// DecompressCtx reverses CompressCtx. With a non-nil ctx the returned
+// field is context scratch, valid until the next ctx.Reset.
 //
 //cuszhi:hotpath
 func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float32, error) {
@@ -316,34 +276,15 @@ func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float32, 
 				return
 			}
 			keep := uint(keep64)
-			if Batched {
-				var cs [blockVals]uint64
-				c := cs[:hi-lo]
-				if r.ReadPacked64(c, 9+keep) != nil {
-					return
-				}
-				o := out[lo:hi:hi]
-				for i, cv := range c {
-					bits := uint32(cv&0x1FF)<<23 | uint32(cv>>9)<<(23-keep)
-					o[i] = math.Float32frombits(bits)
-				}
-				ok[b] = 1
+			var cs [blockVals]uint64
+			c := cs[:hi-lo]
+			if r.ReadPacked64(c, 9+keep) != nil {
 				return
 			}
-			for i := lo; i < hi; i++ {
-				se, err := r.ReadBits(9)
-				if err != nil {
-					return
-				}
-				bits := uint32(se) << 23
-				if keep > 0 {
-					m, err := r.ReadBits(keep)
-					if err != nil {
-						return
-					}
-					bits |= uint32(m) << (23 - keep)
-				}
-				out[i] = math.Float32frombits(bits)
+			o := out[lo:hi:hi]
+			for i, cv := range c {
+				bits := uint32(cv&0x1FF)<<23 | uint32(cv>>9)<<(23-keep)
+				o[i] = math.Float32frombits(bits)
 			}
 			ok[b] = 1
 		}

@@ -16,11 +16,11 @@ var dev = gpusim.New(4)
 
 func roundTrip(t *testing.T, data []float32, eb float64) []byte {
 	t.Helper()
-	blob, err := Compress(dev, data, eb)
+	blob, err := CompressCtx(nil, dev, data, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, err := Decompress(dev, blob)
+	recon, err := DecompressCtx(nil, dev, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestNonFinitePreserved(t *testing.T) {
 	}
 	data[7] = float32(math.NaN())
 	data[200] = float32(math.Inf(-1))
-	blob, err := Compress(dev, data, 1e-3)
+	blob, err := CompressCtx(nil, dev, data, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, err := Decompress(dev, blob)
+	recon, err := DecompressCtx(nil, dev, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,24 +133,24 @@ func TestDecompressCorrupt(t *testing.T) {
 	for i := range data {
 		data[i] = float32(rng.NormFloat64())
 	}
-	blob, err := Compress(dev, data, 1e-3)
+	blob, err := CompressCtx(nil, dev, data, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 1, 5, len(blob) / 2, len(blob) - 1} {
-		if _, err := Decompress(dev, blob[:cut]); err == nil {
+		if _, err := DecompressCtx(nil, dev, blob[:cut]); err == nil {
 			t.Fatalf("truncation to %d: want error", cut)
 		}
 	}
 	for trial := 0; trial < 30; trial++ {
 		bad := append([]byte(nil), blob...)
 		bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-		Decompress(dev, bad) // must not panic
+		DecompressCtx(nil, dev, bad) // must not panic
 	}
 }
 
 func TestCompressErrors(t *testing.T) {
-	if _, err := Compress(dev, []float32{1}, 0); err == nil {
+	if _, err := CompressCtx(nil, dev, []float32{1}, 0); err == nil {
 		t.Fatal("want eb error")
 	}
 }
@@ -167,7 +167,7 @@ func TestCtxMatchesContextFree(t *testing.T) {
 	for i := 5000; i < 10000; i++ {
 		data[i] = 42.5
 	}
-	want, err := Compress(dev, data, 1e-3)
+	want, err := CompressCtx(nil, dev, data, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ func BenchmarkCompressRate8(b *testing.B) {
 	b.SetBytes(int64(4 * len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compress(dev, data, dims, 8); err != nil {
+		if _, err := CompressRate(dev, data, dims, float64(8)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -18,7 +18,7 @@ func BenchmarkCompressRate8(b *testing.B) {
 
 func BenchmarkDecompressRate8(b *testing.B) {
 	data := smoothField(96, 96, 96)
-	blob, err := Compress(dev, data, []int{96, 96, 96}, 8)
+	blob, err := CompressRate(dev, data, []int{96, 96, 96}, float64(8))
 	if err != nil {
 		b.Fatal(err)
 	}

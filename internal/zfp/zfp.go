@@ -355,12 +355,6 @@ func blockBitsFor(rate float64, d int) int {
 	return bits
 }
 
-// Compress encodes data at the given rate in bits per value (integer
-// rates match cuZFP's common configurations).
-func Compress(dev *gpusim.Device, data []float32, dims []int, rate int) ([]byte, error) {
-	return CompressRate(dev, data, dims, float64(rate))
-}
-
 // CompressRate encodes data at a possibly fractional rate in bits per
 // value (cuZFP supports sub-1-bit rates, which Fig. 9 of the paper uses to
 // reach ratios above 32).

@@ -30,7 +30,7 @@ func TestRoundTripSize(t *testing.T) {
 	dims := []int{32, 32, 32}
 	data := smoothField(32, 32, 32)
 	for _, rate := range []int{4, 8, 16} {
-		blob, err := Compress(dev, data, dims, rate)
+		blob, err := CompressRate(dev, data, dims, float64(rate))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestQualityImprovesWithRate(t *testing.T) {
 	data := smoothField(32, 32, 32)
 	var prev float64 = -1
 	for _, rate := range []int{2, 4, 8, 16} {
-		blob, err := Compress(dev, data, dims, rate)
+		blob, err := CompressRate(dev, data, dims, float64(rate))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestQualityImprovesWithRate(t *testing.T) {
 func TestHighRateNearLossless(t *testing.T) {
 	dims := []int{16, 16, 16}
 	data := smoothField(16, 16, 16)
-	blob, err := Compress(dev, data, dims, 28)
+	blob, err := CompressRate(dev, data, dims, float64(28))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestHighRateNearLossless(t *testing.T) {
 
 func TestRoundTrip2D1D(t *testing.T) {
 	data2 := smoothField(1, 40, 52)
-	blob, err := Compress(dev, data2, []int{40, 52}, 8)
+	blob, err := CompressRate(dev, data2, []int{40, 52}, float64(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRoundTrip2D1D(t *testing.T) {
 		t.Fatal("2D PSNR too low")
 	}
 	data1 := smoothField(1, 1, 1000)
-	blob, err = Compress(dev, data1, []int{1000}, 12)
+	blob, err = CompressRate(dev, data1, []int{1000}, float64(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPartialBlocks(t *testing.T) {
 	for _, dims := range [][]int{{5, 6, 7}, {1, 1, 3}, {9, 2, 13}} {
 		n := dims[0] * dims[1] * dims[2]
 		data := smoothField(dims[0], dims[1], dims[2])
-		blob, err := Compress(dev, data, dims, 16)
+		blob, err := CompressRate(dev, data, dims, float64(16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestPartialBlocks(t *testing.T) {
 
 func TestZeroField(t *testing.T) {
 	data := make([]float32, 64)
-	blob, err := Compress(dev, data, []int{4, 4, 4}, 8)
+	blob, err := CompressRate(dev, data, []int{4, 4, 4}, float64(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestNonFiniteBlocksBecomeZero(t *testing.T) {
 	data := make([]float32, 64)
 	data[0] = float32(math.NaN())
 	data[5] = float32(math.Inf(1))
-	blob, err := Compress(dev, data, []int{4, 4, 4}, 8)
+	blob, err := CompressRate(dev, data, []int{4, 4, 4}, float64(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,23 +230,23 @@ func TestPermsValid(t *testing.T) {
 
 func TestCompressErrors(t *testing.T) {
 	data := make([]float32, 64)
-	if _, err := Compress(dev, data, []int{4, 4}, 8); err == nil {
+	if _, err := CompressRate(dev, data, []int{4, 4}, float64(8)); err == nil {
 		t.Fatal("want dims mismatch error")
 	}
-	if _, err := Compress(dev, data, []int{4, 4, 4}, 0); err == nil {
+	if _, err := CompressRate(dev, data, []int{4, 4, 4}, float64(0)); err == nil {
 		t.Fatal("want rate error")
 	}
-	if _, err := Compress(dev, data, []int{4, 4, 4}, 31); err == nil {
+	if _, err := CompressRate(dev, data, []int{4, 4, 4}, float64(31)); err == nil {
 		t.Fatal("want rate error")
 	}
-	if _, err := Compress(dev, data, []int{2, 2, 2, 8}, 8); err == nil {
+	if _, err := CompressRate(dev, data, []int{2, 2, 2, 8}, float64(8)); err == nil {
 		t.Fatal("want ndims error")
 	}
 }
 
 func TestDecompressCorrupt(t *testing.T) {
 	data := smoothField(8, 8, 8)
-	blob, err := Compress(dev, data, []int{8, 8, 8}, 8)
+	blob, err := CompressRate(dev, data, []int{8, 8, 8}, float64(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func BenchmarkStreamChunked(b *testing.B) {
 		dev := gpusim.New(1)
 		b.SetBytes(int64(f.SizeBytes()))
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Compress(dev, f.Data, f.Dims, absEB, opts); err != nil {
+			if _, err := core.CompressCtx(nil, dev, f.Data, f.Dims, absEB, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -55,7 +55,7 @@ func BenchmarkStreamChunked(b *testing.B) {
 		})
 	}
 
-	serialBlob, err := core.Compress(gpusim.New(0), f.Data, f.Dims, absEB, opts)
+	serialBlob, err := core.CompressCtx(nil, gpusim.New(0), f.Data, f.Dims, absEB, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func BenchmarkStreamChunked(b *testing.B) {
 		dev := gpusim.New(1)
 		b.SetBytes(int64(f.SizeBytes()))
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.Decompress(dev, serialBlob); err != nil {
+			if _, _, err := core.DecompressCtx(nil, dev, serialBlob); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -77,7 +77,7 @@ func BenchmarkStreamChunked(b *testing.B) {
 			dev := gpusim.New(workers)
 			b.SetBytes(int64(f.SizeBytes()))
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Decompress(dev, chunkedBlob); err != nil {
+				if _, _, err := core.DecompressCtx(nil, dev, chunkedBlob); err != nil {
 					b.Fatal(err)
 				}
 			}
