@@ -183,12 +183,14 @@ func spectral3(bz, by, bx int, slope, k0, cutFrac float64, rng *rand.Rand) []flo
 	if err != nil {
 		panic(err) // dims are produced by nextPow2; cannot happen
 	}
-	minDim := bz
-	if by < minDim && by > 1 {
-		minDim = by
-	}
-	if bx < minDim && bx > 1 {
-		minDim = bx
+	// The cutoff scales with the shortest extent that has modes: a unit
+	// extent (a 1-D or 2-D field, or one plane) has only wavenumber 0, and
+	// taken as the shortest it would cut every other mode.
+	minDim := 0
+	for _, n := range [3]int{bz, by, bx} {
+		if n > 1 && (minDim == 0 || n < minDim) {
+			minDim = n
+		}
 	}
 	kcut := cutFrac * float64(minDim) / 2
 	if kcut <= 0 {

@@ -254,3 +254,27 @@ func TestSpectralSlope(t *testing.T) {
 		t.Fatalf("no dissipation cutoff: P(10)=%g P(28)=%g", norm(10), norm(28))
 	}
 }
+
+// TestGenerateFiniteAtEveryRank checks that every generator gives a
+// finite field at rank 1, at rank 2, with one z-plane and in 3-D: a unit
+// extent has no modes, so it must not set the spectral cutoff. The fields
+// must not be constant either, except rtm's along a line, which its
+// wavefront shells may miss.
+func TestGenerateFiniteAtEveryRank(t *testing.T) {
+	for _, name := range Names() {
+		for _, dims := range [][]int{{999}, {41, 77}, {1, 40, 40}, {9, 20, 24}} {
+			f, err := Generate(name, dims, 17)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, dims, err)
+			}
+			for i, v := range f.Data {
+				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+					t.Fatalf("%s %v: non-finite value %v at %d", name, dims, v, i)
+				}
+			}
+			if _, _, rng := metrics.Range(f.Data); !(rng > 0) && (name != "rtm" || len(dims) > 1) {
+				t.Errorf("%s %v: value range %v", name, dims, rng)
+			}
+		}
+	}
+}

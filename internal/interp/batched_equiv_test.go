@@ -446,21 +446,30 @@ func TestRowPredictionsMatchPredict(t *testing.T) {
 }
 
 // TestStencilForMatchesInterp1 checks that the row kernel's formula table
-// evaluates exactly what interp1 does for every availability pattern.
+// evaluates exactly what interp1 does for every availability pattern. Each
+// stencil runs as a one-term set through dequantLattice on a one-point
+// tile of ZeroCode whose offset is -0, so the stored value is the
+// prediction's exact bits: the cubic and linear kinds through their own
+// loops, every other kind through the generic one.
 func TestStencilForMatchesInterp1(t *testing.T) {
 	a, p, q, d := float32(-1.25), float32(3.5), float32(0.375), float32(7.75)
+	var deq [256]float64
+	deq[quant.ZeroCode] = math.Copysign(0, -1)
 	// A one-point buffer segment laid out at offsets -3, -1, +1, +3.
-	bk := &block{buf: []float32{a, 0, p, 0, q, 0, d}}
+	bk := &block{buf: []float32{a, 0, p, 0, q, 0, d}, tile: make([]uint8, 7), deq: &deq}
+	bk.tile[3] = quant.ZeroCode
 	for _, spline := range []Spline{Linear, Cubic} {
 		for m := 0; m < 16; m++ {
 			ha, hp, hq, hd := m&1 != 0, m&2 != 0, m&4 != 0, m&8 != 0
 			want, wantOrder := interp1(a, p, q, d, ha, hp, hq, hd, spline)
 			kind, order := stencilFor(ha, hp, hq, hd, spline)
-			got := make([]float32, 1)
-			bk.predictRow(got, 3, 1, negZero, []rowTerm{{off: 1, kind: kind}})
-			if order != wantOrder || math.Float32bits(got[0]) != math.Float32bits(want) {
+			ts := termSet{init: negZero, n: 1, t: [3]rowTerm{{off: 1, kind: kind}}}
+			if bk.dequantLattice(3, 1, 0, 1, 1, &ts) {
+				t.Fatalf("%v flags %04b: a ZeroCode tile reported an outlier", spline, m)
+			}
+			if got := bk.buf[3]; order != wantOrder || math.Float32bits(got) != math.Float32bits(want) {
 				t.Fatalf("%v flags %04b: stencil %d gives (%v, %d), interp1 (%v, %d)",
-					spline, m, kind, got[0], order, want, wantOrder)
+					spline, m, kind, got, order, want, wantOrder)
 			}
 		}
 	}

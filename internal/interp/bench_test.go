@@ -100,6 +100,25 @@ func BenchmarkShardDecompress(b *testing.B) {
 	}
 }
 
+// BenchmarkShardDecompressMD decodes shardBench's shard with MD+cubic at
+// every level, so most of its points take dequantLattice's generic
+// multi-term loop (face and body centres) rather than a one-term loop.
+func BenchmarkShardDecompressMD(b *testing.B) {
+	data, g, cfg, eb, ctx, dev1 := shardBench(b)
+	cfg.PerLevel = uniformLevels(cfg.Levels(), LevelConfig{Scheme: MD, Spline: Cubic})
+	res, err := CompressCtx(nil, dev1, data, g, cfg, eb)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx.Reset()
+		if _, err := DecompressCtx(ctx, dev1, res, g, cfg, eb); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkAutoTune(b *testing.B) {
 	dims := []int{96, 96, 96}
 	data := benchField(dims)

@@ -17,17 +17,17 @@ import (
 // shares one term set, and the at most three halo points at the x ends
 // take term sets of their own, built with the row's and cached with them.
 //
-// Compression makes one fused pass over each group of rows that share a
-// term set: each point's prediction is evaluated straight from the
-// buffer, quantized against the field value, and its reconstruction and
-// code are stored in the buffer and the tile.
-// Decompression copies the block's codes into the tile, predicts each row
-// and writes its dequantized values straight into the buffer in one fused
-// pass. Either way the owned rows leave the block once it is done (codes
-// with their histogram and outliers, or reconstructions), the way
-// cuSZ-Hi's kernels (§5.1) work on a block in shared memory before
-// storing it. Auto-tuning walks the same rows over a buffer of original
-// values and sums the prediction errors.
+// Compression and decompression make one fused pass over each group of
+// rows that share a term set: each point's prediction is evaluated
+// straight from the buffer, then compression quantizes it against the
+// field value and stores its reconstruction and code in the buffer and the
+// tile, and decompression, which first copied the block's codes into the
+// tile, stores its dequantized value in the buffer. Either way the owned
+// rows leave the block once it is done (codes with their histogram and
+// outliers, or reconstructions), the way cuSZ-Hi's kernels (§5.1) work on
+// a block in shared memory before storing it. Auto-tuning walks the same
+// passes row by row over a buffer of original values and sums the
+// prediction errors.
 
 // dimClass constrains one coordinate of a phase's point set.
 type dimClass uint8
@@ -91,7 +91,6 @@ type block struct {
 	ext     [3]int // local extents (hi-lo+1)
 	buf     []float32
 	tile    []uint8   // the block's quant codes, laid out like buf
-	preds   []float32 // one stride-row's predictions
 	anchors []float32 // dense global anchor grid
 	az      [3]int    // anchor grid dims
 
@@ -108,8 +107,9 @@ type block struct {
 	twoEB   float64
 	tuneErr float64
 
-	// Decompression state (see decode): the code-to-offset table, the
-	// outlier list, and whether an outlier code had no value in it.
+	// Decompression state (see decode): the code-to-offset table, which
+	// tuning sets too (see AutoTune), the outlier list, and whether an
+	// outlier code had no value in it.
 	deq  *[256]float64
 	outl *quant.Outliers
 	miss bool
@@ -154,10 +154,6 @@ func (b *block) initBlock(g Grid, cfg *Config, bz, by, bx int) {
 		b.tile = make([]uint8, need)
 	}
 	b.buf, b.tile = b.buf[:need], b.tile[:need]
-	// A stride-row holds at most ext[2] points.
-	if cap(b.preds) < b.ext[2] {
-		b.preds = make([]float32, b.ext[2])
-	}
 }
 
 // local returns the index into buf for global coords.
@@ -296,121 +292,7 @@ func (b *block) rowTerms(ts *termSet, z, y, x, s int, dims []int, spline Spline)
 	}
 }
 
-// predictRow fills preds with the predictions of a stride-row segment:
-// point i sits at buffer index idx0 + i*xstep, and terms (from rowTerms)
-// apply unchanged to every point of the segment. Each prediction starts at
-// init, adds the terms in order and is divided by their count (dividing a
-// sum by 1 changes no bits, so one term skips it): the float op sequence of
-// predict, so the results are bit-identical.
-//
-//cuszhi:hotpath
-func (b *block) predictRow(preds []float32, idx0, xstep int, init float32, terms []rowTerm) {
-	buf := b.buf
-	n := len(preds)
-	preds = preds[:n:n]
-	for i := range preds {
-		preds[i] = init
-	}
-	for _, t := range terms {
-		o1, o3 := t.off, 3*t.off
-		j := idx0
-		switch t.kind {
-		case stCubic:
-			for i := range preds {
-				preds[i] += (-buf[j-o3] + 9*buf[j-o1] + 9*buf[j+o1] - buf[j+o3]) / 16
-				j += xstep
-			}
-		case stQuadA:
-			for i := range preds {
-				preds[i] += (-buf[j-o3] + 6*buf[j-o1] + 3*buf[j+o1]) / 8
-				j += xstep
-			}
-		case stQuadD:
-			for i := range preds {
-				preds[i] += (3*buf[j-o1] + 6*buf[j+o1] - buf[j+o3]) / 8
-				j += xstep
-			}
-		case stLinear:
-			for i := range preds {
-				preds[i] += (buf[j-o1] + buf[j+o1]) / 2
-				j += xstep
-			}
-		case stExtrapP:
-			for i := range preds {
-				preds[i] += (3*buf[j-o1] - buf[j-o3]) / 2
-				j += xstep
-			}
-		case stCopyP:
-			for i := range preds {
-				preds[i] += buf[j-o1]
-				j += xstep
-			}
-		case stExtrapQ:
-			for i := range preds {
-				preds[i] += (3*buf[j+o1] - buf[j+o3]) / 2
-				j += xstep
-			}
-		case stCopyQ:
-			for i := range preds {
-				preds[i] += buf[j+o1]
-				j += xstep
-			}
-		default: // stNone
-			for i := range preds {
-				preds[i] += 0
-			}
-		}
-	}
-	if len(terms) > 1 {
-		nf := float32(len(terms))
-		for i := range preds {
-			preds[i] /= nf
-		}
-	}
-}
-
-// predictHalo fills the halo entries of a row's preds, where point i sits
-// at buffer index idx0 + i*xstep: each from its own cached term set, with
-// predictRow's float op sequence, so the results are again predict's bits.
-//
-//cuszhi:hotpath
-func (b *block) predictHalo(preds []float32, idx0, xstep int) {
-	buf := b.buf
-	for h, i := range b.haloAt[:b.nHalo] {
-		ts := &b.halo[h]
-		j := idx0 + i*xstep
-		v := ts.init
-		for _, t := range ts.terms() {
-			o1, o3 := t.off, 3*t.off
-			switch t.kind {
-			case stCubic:
-				v += (-buf[j-o3] + 9*buf[j-o1] + 9*buf[j+o1] - buf[j+o3]) / 16
-			case stQuadA:
-				v += (-buf[j-o3] + 6*buf[j-o1] + 3*buf[j+o1]) / 8
-			case stQuadD:
-				v += (3*buf[j-o1] + 6*buf[j+o1] - buf[j+o3]) / 8
-			case stLinear:
-				v += (buf[j-o1] + buf[j+o1]) / 2
-			case stExtrapP:
-				v += (3*buf[j-o1] - buf[j-o3]) / 2
-			case stCopyP:
-				v += buf[j-o1]
-			case stExtrapQ:
-				v += (3*buf[j+o1] - buf[j+o3]) / 2
-			case stCopyQ:
-				v += buf[j+o1]
-			default: // stNone
-				v += 0
-			}
-		}
-		if ts.n > 1 {
-			v /= float32(ts.n)
-		}
-		preds[i] = v
-	}
-}
-
-// walkMode selects what runLevel does with each stride-row.
+// walkMode selects what runLevel does with each group of rows.
 type walkMode uint8
 
 const (
@@ -427,12 +309,12 @@ const (
 // runLevel walks one interpolation level (stride s of the new points) with
 // the given level config in deterministic phase order. No point of a phase
 // is a neighbour of another point of the same phase, so a point's
-// reconstruction may be stored before the rest of its phase is predicted.
-// Compression hands the rows that share terms to compressRows together, so
-// a phase without a y (or z) direction takes one fused pass per z-plane
-// (or y) rather than one per row. Decompression and tuning go row by row: the row is
-// predicted, then decompression runs dequantRow's fused
-// dequantize-and-store pass over the tile and tuning sums its errors.
+// reconstruction may be stored before the rest of its phase is predicted,
+// and the rows that share terms go through one fused pass together: a
+// phase without a y (or z) direction takes one pass per z-plane (or y)
+// rather than one per row. Tuning keeps the rows in z, y order, as the
+// reference walk sums its errors, so there a phase with a y but no z
+// direction takes one pass per row.
 func (b *block) runLevel(s int, lc LevelConfig, mode walkMode) {
 	st := b.strides()
 	reach := s // how far a direction's neighbours lie from the point
@@ -485,8 +367,8 @@ func (b *block) runLevel(s int, lc LevelConfig, mode walkMode) {
 			}
 		}
 		// A row's terms depend on z only through a z direction and on y only
-		// through a y direction, so they are rebuilt, halo included, only
-		// when the coordinates they depend on change.
+		// through a y direction, so the rows of a group share them, halo
+		// included.
 		zDep, yDep := slices.Contains(ph.dims, 0), slices.Contains(ph.dims, 1)
 		terms := func(z, y int) {
 			if k0 < k1 {
@@ -496,62 +378,44 @@ func (b *block) runLevel(s int, lc LevelConfig, mode walkMode) {
 				b.rowTerms(&b.halo[h], z, y, x0+i*xstep, s, ph.dims, lc.Spline)
 			}
 		}
-		if mode == compressWalk {
-			// Rows that share terms are quantized together: with no y
-			// direction every row of a z-plane, with no z direction every
-			// row at one y, else one row at a time.
-			nz, ny := (b.hi[0]-start[0])/step[0]+1, (b.hi[1]-start[1])/step[1]+1
-			zrow, yrow := [2]int{step[0] * st[0], step[0] * b.g.Ny * b.g.Nx}, [2]int{step[1] * st[1], step[1] * b.g.Nx}
-			switch {
-			case !yDep:
-				for z := start[0]; z <= b.hi[0]; z += step[0] {
-					terms(z, start[1])
-					b.compressRows(z, start[1], x0, ny, yrow, k0, k1, xstep)
-				}
-			case !zDep:
-				for y := start[1]; y <= b.hi[1]; y += step[1] {
-					terms(start[0], y)
-					b.compressRows(start[0], y, x0, nz, zrow, k0, k1, xstep)
-				}
-			default:
-				for z := start[0]; z <= b.hi[0]; z += step[0] {
-					for y := start[1]; y <= b.hi[1]; y += step[1] {
-						terms(z, y)
-						b.compressRows(z, y, x0, 1, yrow, k0, k1, xstep)
-					}
-				}
+		// With no y direction every row of a z-plane is one group, with no
+		// z direction every row at one y, else each row is its own.
+		nz, ny := (b.hi[0]-start[0])/step[0]+1, (b.hi[1]-start[1])/step[1]+1
+		zrow, yrow := [2]int{step[0] * st[0], step[0] * b.g.Ny * b.g.Nx}, [2]int{step[1] * st[1], step[1] * b.g.Nx}
+		switch {
+		case !yDep:
+			for z := start[0]; z <= b.hi[0]; z += step[0] {
+				terms(z, start[1])
+				b.rows(mode, z, start[1], x0, ny, yrow, k0, k1, xstep)
 			}
-			continue
-		}
-		tz, ty := -1, -1 // the coordinates the current terms were built for
-		preds := b.preds[:n]
-		for z := start[0]; z <= b.hi[0]; z += step[0] {
+		case !zDep && mode != tuneWalk:
 			for y := start[1]; y <= b.hi[1]; y += step[1] {
-				l0 := (z-b.lo[0])*st[0] + (y-b.lo[1])*st[1] + (x0 - b.lo[2])
-				kz, ky := 0, 0
-				if zDep {
-					kz = z
-				}
-				if yDep {
-					ky = y
-				}
-				if kz != tz || ky != ty {
+				terms(start[0], y)
+				b.rows(mode, start[0], y, x0, nz, zrow, k0, k1, xstep)
+			}
+		default:
+			for z := start[0]; z <= b.hi[0]; z += step[0] {
+				for y := start[1]; y <= b.hi[1]; y += step[1] {
 					terms(z, y)
-					tz, ty = kz, ky
-				}
-				if k0 < k1 {
-					b.predictRow(preds[k0:k1], l0+k0*xstep, xstep, b.row.init, b.row.terms())
-				}
-				if b.nHalo > 0 {
-					b.predictHalo(preds, l0, xstep)
-				}
-				if mode == tuneWalk {
-					b.tuneRow(preds, b.g.flat(z, y, x0), xstep)
-				} else if b.dequantRow(preds, l0, xstep) {
-					b.fixOutliers(n, l0, xstep, z, y, x0)
+					b.rows(mode, z, y, x0, 1, yrow, k0, k1, xstep)
 				}
 			}
 		}
+	}
+}
+
+// rows runs m rows that share the current terms through mode's pass: row
+// r starts at global coords (z, y, x0) moved r times by row, a (buffer,
+// field) index step, and holds points xstep apart, of which [k0, k1) are
+// the interior and the rest the halo.
+func (b *block) rows(mode walkMode, z, y, x0, m int, row [2]int, k0, k1, xstep int) {
+	switch mode {
+	case compressWalk:
+		b.compressRows(z, y, x0, m, row, k0, k1, xstep)
+	case decompressWalk:
+		b.decompressRows(z, y, x0, m, row, k0, k1, xstep)
+	default:
+		b.tuneRows(z, y, x0, m, row, k0, k1, xstep)
 	}
 }
 
@@ -573,9 +437,10 @@ func (b *block) compressRows(z, y, x0, m int, row [2]int, k0, k1, xstep int) {
 // share the term set ts: point i of row r sits at buffer index
 // l0+r*row[0]+i*xstep and field index d0+r*row[1]+i*xstep. Its prediction
 // starts at ts.init, adds each term's formula, evaluated straight from
-// buf, and is divided by the term count when there are several: predictRow's
-// float op sequence. quant.TryQuantize quantizes it against the field
-// value, and the reconstruction goes to buf and the code to the tile.
+// buf, and is divided by the term count when there are several: the float
+// op sequence of predict, the per-point reference. quant.TryQuantize
+// quantizes it against the field value, and the reconstruction goes to
+// buf and the code to the tile.
 //
 //cuszhi:hotpath
 func (b *block) quantLattice(l0, d0, m int, row [2]int, n, xstep int, ts *termSet) {
@@ -622,49 +487,178 @@ func (b *block) quantLattice(l0, d0, m int, row [2]int, n, xstep int, ts *termSe
 	}
 }
 
-// tuneRow adds the row's absolute prediction errors, in point order, to
-// tuneErr: point i's value is data[d0+i*xstep].
-func (b *block) tuneRow(preds []float32, d0, xstep int) {
-	for i, p := range preds {
-		b.tuneErr += math.Abs(float64(b.data[d0+i*xstep]) - float64(p))
+// decompressRows is compressRows' inverse over the same rows: when one of
+// dequantRows' passes met an outlier code, fixOutliers gives the rows'
+// outlier-coded points their values. Fixing them after the whole group is
+// exact, since no point of the group is a neighbour of another.
+func (b *block) decompressRows(z, y, x0, m int, row [2]int, k0, k1, xstep int) {
+	l0 := b.local(z, y, x0)
+	if !b.dequantRows(l0, m, row[0], k0, k1, xstep) {
+		return
+	}
+	n, d0 := k1-k0+b.nHalo, b.g.flat(z, y, x0)
+	for ; m > 0; m, l0, d0 = m-1, l0+row[0], d0+row[1] {
+		b.fixOutliers(l0, d0, n, xstep)
 	}
 }
 
-// dequantRow is decompression's row step: point i's code sits at
-// tile[l0+i*xstep], and float32(preds[i] + deq[code]) — quant.Dequantize's
-// float op sequence, so the same bits — goes straight to buf there.
-// Outlier codes are rare, so it only reports whether the row has one;
-// fixOutliers then overwrites those points. It makes no calls, so nothing
-// in the loop spills.
-//
-//cuszhi:hotpath
-func (b *block) dequantRow(preds []float32, l0, xstep int) bool {
-	buf, tile, deq := b.buf, b.tile, b.deq
+// dequantRows runs the interior [k0, k1) and each halo point of m rows
+// that share the current terms as one dequantLattice pass over all m rows,
+// where row r starts at buffer index l0+r*row, and reports whether a pass
+// met an outlier code.
+func (b *block) dequantRows(l0, m, row, k0, k1, xstep int) bool {
 	outlier := false
-	for i, p := range preds {
-		j := l0 + i*xstep
-		c := tile[j]
-		if c == quant.OutlierCode {
+	if k0 < k1 {
+		outlier = b.dequantLattice(l0+k0*xstep, m, row, k1-k0, xstep, &b.row)
+	}
+	for h, i := range b.haloAt[:b.nHalo] {
+		if b.dequantLattice(l0+i*xstep, m, row, 1, xstep, &b.halo[h]) {
 			outlier = true
 		}
-		buf[j] = float32(float64(p) + deq[c])
+	}
+	return outlier
+}
+
+// dequantLattice is decompression's fused pass over m rows of n points
+// that share the term set ts: point i of row r sits at buffer index
+// l0+r*row+i*xstep. Its prediction is quantLattice's, with the same float
+// op sequence, and float32(p + deq[code]) — quant.Dequantize's float op
+// sequence, so the same bits — goes straight to buf there. Outlier codes
+// are rare, so it only reports whether it met one; fixOutliers then
+// overwrites those points. A set of one cubic, quadratic or linear term,
+// the common case (every seq-zyx and seq-xyz level, and MD's edge
+// centres), takes a loop of its own with the formula chosen outside it;
+// other sets take the per-point formula switch.
+//
+//cuszhi:hotpath
+func (b *block) dequantLattice(l0, m, row, n, xstep int, ts *termSet) bool {
+	buf, tile, deq := b.buf, b.tile, b.deq
+	init, span := ts.init, n*xstep
+	o1 := ts.t[0].off
+	o3 := 3 * o1
+	outlier := false
+	switch {
+	case ts.n == 1 && ts.t[0].kind == stCubic:
+		for ; m > 0; m, l0 = m-1, l0+row {
+			for j, end := l0, l0+span; j < end; j += xstep {
+				p := init + (-buf[j-o3]+9*buf[j-o1]+9*buf[j+o1]-buf[j+o3])/16
+				c := tile[j]
+				if c == quant.OutlierCode {
+					outlier = true
+				}
+				buf[j] = float32(float64(p) + deq[c])
+			}
+		}
+	case ts.n == 1 && ts.t[0].kind == stQuadA:
+		for ; m > 0; m, l0 = m-1, l0+row {
+			for j, end := l0, l0+span; j < end; j += xstep {
+				p := init + (-buf[j-o3]+6*buf[j-o1]+3*buf[j+o1])/8
+				c := tile[j]
+				if c == quant.OutlierCode {
+					outlier = true
+				}
+				buf[j] = float32(float64(p) + deq[c])
+			}
+		}
+	case ts.n == 1 && ts.t[0].kind == stQuadD:
+		for ; m > 0; m, l0 = m-1, l0+row {
+			for j, end := l0, l0+span; j < end; j += xstep {
+				p := init + (3*buf[j-o1]+6*buf[j+o1]-buf[j+o3])/8
+				c := tile[j]
+				if c == quant.OutlierCode {
+					outlier = true
+				}
+				buf[j] = float32(float64(p) + deq[c])
+			}
+		}
+	case ts.n == 1 && ts.t[0].kind == stLinear:
+		for ; m > 0; m, l0 = m-1, l0+row {
+			for j, end := l0, l0+span; j < end; j += xstep {
+				p := init + (buf[j-o1]+buf[j+o1])/2
+				c := tile[j]
+				if c == quant.OutlierCode {
+					outlier = true
+				}
+				buf[j] = float32(float64(p) + deq[c])
+			}
+		}
+	default:
+		terms, nf := ts.terms(), float32(ts.n)
+		for ; m > 0; m, l0 = m-1, l0+row {
+			for j, end := l0, l0+span; j < end; j += xstep {
+				p := init
+				for _, t := range terms {
+					o1, o3 := t.off, 3*t.off
+					switch t.kind {
+					case stCubic:
+						p += (-buf[j-o3] + 9*buf[j-o1] + 9*buf[j+o1] - buf[j+o3]) / 16
+					case stQuadA:
+						p += (-buf[j-o3] + 6*buf[j-o1] + 3*buf[j+o1]) / 8
+					case stQuadD:
+						p += (3*buf[j-o1] + 6*buf[j+o1] - buf[j+o3]) / 8
+					case stLinear:
+						p += (buf[j-o1] + buf[j+o1]) / 2
+					case stExtrapP:
+						p += (3*buf[j-o1] - buf[j-o3]) / 2
+					case stCopyP:
+						p += buf[j-o1]
+					case stExtrapQ:
+						p += (3*buf[j+o1] - buf[j+o3]) / 2
+					case stCopyQ:
+						p += buf[j+o1]
+					default: // stNone
+						p += 0
+					}
+				}
+				if len(terms) > 1 {
+					p /= nf
+				}
+				c := tile[j]
+				if c == quant.OutlierCode {
+					outlier = true
+				}
+				buf[j] = float32(float64(p) + deq[c])
+			}
+		}
 	}
 	return outlier
 }
 
 // fixOutliers gives the outlier-coded points among a row's n points their
-// values from the outlier list, at the points' global coords
-// (z, y, x0+i*xstep). A missing value sets b.miss and reconstructs as 0.
-func (b *block) fixOutliers(n, l0, xstep, z, y, x0 int) {
+// values from the outlier list: point i sits at buffer index l0+i*xstep
+// and field index d0+i*xstep. A missing value sets b.miss and
+// reconstructs as 0.
+func (b *block) fixOutliers(l0, d0, n, xstep int) {
 	for i := 0; i < n; i++ {
 		j := l0 + i*xstep
 		if b.tile[j] != quant.OutlierCode {
 			continue
 		}
-		v, ok := b.outl.SortedGet(b.g.flat(z, y, x0+i*xstep))
+		v, ok := b.outl.SortedGet(d0 + i*xstep)
 		b.miss = b.miss || !ok
 		b.buf[j] = v
 	}
+}
+
+// tuneRows adds the absolute prediction errors of m rows that share the
+// current terms to tuneErr. Tuning's tile holds only ZeroCode, whose
+// offset is -0 (see AutoTune), so dequantRows stores each point's
+// prediction bits in buf (p + -0 == p, zero signs included). Then, row by
+// row in point order, each point's error is added and its original value
+// put back: the reference walk's summation order, so the sums, and the
+// picks, keep their bits.
+func (b *block) tuneRows(z, y, x0, m int, row [2]int, k0, k1, xstep int) {
+	l0, d0 := b.local(z, y, x0), b.g.flat(z, y, x0)
+	b.dequantRows(l0, m, row[0], k0, k1, xstep)
+	buf, data, e := b.buf, b.data, b.tuneErr
+	span := (k1 - k0 + b.nHalo) * xstep
+	for ; m > 0; m, l0, d0 = m-1, l0+row[0], d0+row[1] {
+		for j, d, end := l0, d0, d0+span; d < end; j, d = j+xstep, d+xstep {
+			e += math.Abs(float64(data[d]) - float64(buf[j]))
+			buf[j] = data[d]
+		}
+	}
+	b.tuneErr = e
 }
 
 // encode quantizes the whole block against data with bound twoEB/2. Its

@@ -195,3 +195,71 @@ func FuzzDecompressPlanes(f *testing.F) {
 		}
 	})
 }
+
+// TestTileDecodeGroupedOutliers puts outlier codes where the grouped
+// decode defers their fix-up to the end of a pass over several rows. On
+// the finest seq-zyx level of a one-block grid these are three rows of one
+// z-plane pass (the z phase), three rows of one y-column pass (the y
+// phase) and both halo columns of one z-plane pass of the x phase; an MD
+// config takes the same points through its face-centre rows. The decode
+// must give the scalar oracle's bits, and losing any one of the values
+// must fail it and the oracle with ErrCorrupt.
+func TestTileDecodeGroupedOutliers(t *testing.T) {
+	g := Grid{Nz: 17, Ny: 17, Nx: 17}
+	const eb = 1e-2
+	data := synthField([]int{g.Nz, g.Ny, g.Nx}, 23)
+	points := [][3]int{
+		{5, 2, 4}, {5, 4, 4}, {5, 6, 4}, // z phase: rows y = 2, 4, 6 of plane z = 5
+		{3, 9, 6}, {4, 9, 6}, {7, 9, 6}, // y phase: rows z = 3, 4, 7 of column y = 9
+		{2, 3, 1}, {2, 8, 1}, {2, 5, 15}, // x phase: halo columns x = 1 and 15 of plane z = 2
+	}
+	devs := []*gpusim.Device{gpusim.New(1), gpusim.New(4)}
+	for _, lc := range []LevelConfig{{Seq1DZYX, Cubic}, {MD, Cubic}} {
+		cfg := HiConfig()
+		cfg.PerLevel = uniformLevels(cfg.Levels(), lc)
+		base, err := CompressCtx(nil, devs[0], data, g, cfg, eb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := &Result{Codes: slices.Clone(base.Codes), Anchors: base.Anchors, Outliers: &quant.Outliers{
+			Pos: slices.Clone(base.Outliers.Pos),
+			Val: slices.Clone(base.Outliers.Val),
+		}}
+		for _, p := range points {
+			i := g.flat(p[0], p[1], p[2])
+			res.Codes[i] = quant.OutlierCode
+			if k, found := slices.BinarySearch(res.Outliers.Pos, i); !found {
+				res.Outliers.Pos = slices.Insert(res.Outliers.Pos, k, i)
+				res.Outliers.Val = slices.Insert(res.Outliers.Val, k, float32(p[0]-p[1]+p[2]))
+			}
+		}
+		want, err := decompressScalarOracle(res, g, cfg, eb)
+		if err != nil {
+			t.Fatalf("%v: oracle: %v", lc, err)
+		}
+		for _, dev := range devs {
+			got, err := DecompressCtx(nil, dev, res, g, cfg, eb)
+			if err != nil {
+				t.Fatalf("%v: %v", lc, err)
+			}
+			if !f32BitsEqual(got, want) {
+				t.Fatalf("%v, %d workers: decode differs from the scalar oracle", lc, dev.Workers())
+			}
+		}
+		for _, p := range points {
+			k, _ := slices.BinarySearch(res.Outliers.Pos, g.flat(p[0], p[1], p[2]))
+			lost := &Result{Codes: res.Codes, Anchors: res.Anchors, Outliers: &quant.Outliers{
+				Pos: slices.Delete(slices.Clone(res.Outliers.Pos), k, k+1),
+				Val: slices.Delete(slices.Clone(res.Outliers.Val), k, k+1),
+			}}
+			if _, err := decompressScalarOracle(lost, g, cfg, eb); !errors.Is(err, quant.ErrCorrupt) {
+				t.Fatalf("%v, value at %v lost: oracle: %v", lc, p, err)
+			}
+			for _, dev := range devs {
+				if _, err := DecompressCtx(nil, dev, lost, g, cfg, eb); !errors.Is(err, quant.ErrCorrupt) {
+					t.Fatalf("%v, value at %v lost, %d workers: %v", lc, p, dev.Workers(), err)
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/gpusim"
+	"repro/internal/quant"
 )
 
 // This file implements the workload-balanced interpolation auto-tuning of
@@ -28,6 +29,14 @@ var tuneCandidates = []LevelConfig{
 	{Scheme: MD, Spline: Linear},
 	{Scheme: MD, Spline: Cubic},
 }
+
+// predictionDeq is tuning's code-to-offset table: its tile holds only
+// ZeroCode, and the offset -0 makes the decode pass store each point's
+// prediction with its exact bits.
+var predictionDeq = func() (deq [256]float64) {
+	deq[quant.ZeroCode] = math.Copysign(0, -1)
+	return deq
+}()
 
 // fillFromData loads the block's entire extent with original values, the
 // neighbour source used by tuning's dry runs.
@@ -68,6 +77,10 @@ func AutoTune(dev *gpusim.Device, data []float32, g Grid, cfg Config, sampleFrac
 		defer bufPool.Put(bk)
 		bk.initBlock(g, &cfg, bz, by, bx)
 		bk.fillFromData(data)
+		for i := range bk.tile {
+			bk.tile[i] = quant.ZeroCode
+		}
+		bk.deq = &predictionDeq
 		errs := make(errMat, levels)
 		for li := range errs {
 			errs[li] = make([]float64, len(tuneCandidates))
@@ -82,7 +95,7 @@ func AutoTune(dev *gpusim.Device, data []float32, g Grid, cfg Config, sampleFrac
 			}
 			li++
 		}
-		bk.data = nil
+		bk.data, bk.deq = nil, nil
 		return errs
 	}, func(a, b errMat) errMat {
 		for li := range a {
