@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -532,5 +533,47 @@ func TestOpenReaderAtHostileInputs(t *testing.T) {
 				t.Fatalf("garbage %q opened", b)
 			}
 		}
+	})
+}
+
+// TestHostileHeaderAllocGuard: a v4 container whose header declares 2^27
+// values in one chunk over a few junk payload bytes must fail with
+// ErrCorrupt on both whole-field paths before either allocates the 512 MiB
+// field: the in-memory decode and ReadPlanes with a nil dst both decode
+// the first chunk before growing the output.
+func TestHostileHeaderAllocGuard(t *testing.T) {
+	dims := []int{2, 8192, 8192}
+	blob, err := core.AppendChunkedHeaderSized(nil, 4, dims, 0.01, false, dims[0], 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := core.IndexEntry{FrameOff: int64(len(blob)), Planes: dims[0]}
+	blob = core.AppendChunkFrameV3(blob, core.HiCR(), 0, dims, 0, 1, []byte("junk"))
+	blob = core.AppendChunkIndexFooter(blob, 4, int64(len(blob)), []core.IndexEntry{entry})
+	const limit = 64 << 20
+	allocated := func(label string, run func() error) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := run()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, core.ErrCorrupt) {
+			t.Fatalf("%s: want ErrCorrupt, got %v", label, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= limit {
+			t.Fatalf("%s allocated %d MiB before failing", label, n>>20)
+		}
+	}
+	allocated("DecompressCtx", func() error {
+		_, _, err := core.DecompressCtx(nil, gpusim.New(1), blob)
+		return err
+	})
+	ra, err := OpenReaderAt(bytes.NewReader(blob), int64(len(blob)), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated("ReadPlanes", func() error {
+		_, err := ra.ReadPlanes(nil, 0, dims[0])
+		return err
 	})
 }

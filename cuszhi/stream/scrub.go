@@ -80,9 +80,9 @@ func Scrub(src io.ReaderAt, size int64, opt ...Option) (*ScrubReport, error) {
 	rep := &ScrubReport{Version: version, SizeBytes: size, Chunks: h.NumChunks}
 	w := core.WalkAt(h, src, size, headerLen)
 	if h.Version >= 4 {
-		entries, framesEnd, ferr := core.LoadIndex(src, size, h, headerLen)
+		ix, ferr := core.LoadIndex(src, size, h, headerLen)
 		if ferr == nil {
-			scrubWithIndex(&w, entries, framesEnd, rep)
+			scrubWithIndex(&w, ix, rep)
 			return rep, nil
 		}
 		// The footer itself is damaged: record that and verify the frames
@@ -99,13 +99,9 @@ func Scrub(src io.ReaderAt, size int64, opt ...Option) (*ScrubReport, error) {
 // chunk is checked — the footer locates frames independently, so damage
 // in one never hides damage in another. The footer already tiles the
 // header's planes with its chunk count.
-func scrubWithIndex(w *core.FrameWalker, entries []core.IndexEntry, framesEnd int64, rep *ScrubReport) {
-	for i, e := range entries {
-		end := framesEnd
-		if i+1 < len(entries) {
-			end = entries[i+1].FrameOff
-		}
-		f, err := w.NextEntry(e, end)
+func scrubWithIndex(w *core.FrameWalker, ix *core.Index, rep *ScrubReport) {
+	for i, e := range ix.Entries {
+		f, err := w.NextEntry(e, ix.End(i))
 		if err == nil {
 			err = w.VerifyCRC(f)
 		}

@@ -118,7 +118,9 @@ func corpusBlobs(t testing.TB, dir string) [][]byte {
 // scan must agree on every input. When the strict decode succeeds, every
 // other reader returns the same bits, Scrub finds the store clean and the
 // recovery scan finds it sealed; when Scrub finds a damaged chunk, the
-// strict decode fails; and the strict decode fails only with ErrCorrupt.
+// strict decode fails; the strict decode fails only with ErrCorrupt, and
+// then so does a whole-field ReadPlanes (or the open before it), so the
+// two whole-field paths agree on the verdict both ways.
 func FuzzFrameWalkers(f *testing.F) {
 	for _, s := range frameWalkerSeeds(f) {
 		f.Add(s)
@@ -134,6 +136,13 @@ func FuzzFrameWalkers(f *testing.F) {
 			t.Fatalf("scrub found damage the strict decode accepted: %s", rep.Summary())
 		}
 		if derr != nil {
+			ra, err := OpenReaderAt(bytes.NewReader(blob), size)
+			if err == nil {
+				_, err = ra.ReadPlanes(nil, 0, ra.Dims()[0])
+			}
+			if !errors.Is(err, core.ErrCorrupt) {
+				t.Fatalf("strict decode failed (%v) but whole-field ReadPlanes returned %v", derr, err)
+			}
 			return
 		}
 		r, err := NewReader(bytes.NewReader(blob))

@@ -51,13 +51,28 @@ func testWindows(n, cp int, rng *rand.Rand) [][2]int {
 	return ws
 }
 
-// checkWindows asserts that every window ReadPlanes returns is the bitwise
-// slice of the store's whole sequential decode.
+// checkWindows asserts that the sequential Reader and the whole in-memory
+// decode agree bit for bit, and that every window ReadPlanes returns is
+// the bitwise slice of that decode.
 func checkWindows(t *testing.T, label string, blob []byte, cp int, rng *rand.Rand, opt ...Option) {
 	t.Helper()
 	full, dims, err := Decompress(blob)
 	if err != nil {
 		t.Fatalf("%s: whole decode: %v", label, err)
+	}
+	// Decompress and ReaderAt share one decode loop; the sequential Reader
+	// walks frames on its own, so it is the independent reference.
+	r, err := NewReader(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("%s: Reader open: %v", label, err)
+	}
+	seq, err := r.ReadAllValues()
+	r.Close()
+	if err == nil {
+		err = sameBits(seq, full)
+	}
+	if err != nil {
+		t.Fatalf("%s: Reader disagrees with the whole decode: %v", label, err)
 	}
 	ra, err := OpenReaderAt(bytes.NewReader(blob), int64(len(blob)), opt...)
 	if err != nil {

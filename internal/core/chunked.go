@@ -708,7 +708,7 @@ func ReadChunkedHeader(r io.Reader) (*ChunkedInfo, error) {
 		return nil, ErrCorrupt
 	}
 	if pre[4] < version2 || pre[4] > version5 {
-		return nil, fmt.Errorf("core: not a chunked container (version %d)", pre[4])
+		return nil, fmt.Errorf("core: version %d is not a chunked container: %w", pre[4], ErrCorrupt)
 	}
 	return readChunkedHeaderBody(r, pre[4], pre[5])
 }
@@ -1027,82 +1027,6 @@ func ScanFrameHeader(buf []byte, h *ChunkedInfo) (*ChunkInfo, int, int, error) {
 	return out, off + 4, int(plen), nil
 }
 
-// decompressChunked decodes a chunked (v2–v5) container: the frames are
-// walked sequentially (cheap, zero-copy — payloads stay subslices of
-// blob), then decoded concurrently into the output field, each worker
-// reusing its own pooled codec context across shards. The output field is
-// drawn from the caller's ctx (scratch) when one is supplied.
-func decompressChunked(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float32, []int, error) {
-	src := bytes.NewReader(blob)
-	_, h, headerLen, err := OpenChunked(src, int64(len(blob)))
-	if err != nil {
-		return nil, nil, err
-	}
-	chunks := make([]Frame, 0, h.NumChunks)
-	w := WalkBlob(h, blob, 0, headerLen)
-	err = w.Walk(h.NumChunks, func(f Frame) error {
-		chunks = append(chunks, f)
-		return w.VerifyCRC(f)
-	})
-	if err == nil && !w.Covered() {
-		err = ErrCorrupt // missing frames, or a gap or overlap in shard coverage
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if h.Version >= version4 {
-		// The index footer must occupy the rest of the blob exactly, point
-		// back at where the frames ended, and agree with the frames the
-		// walk just saw — a v4 container whose index lies is corrupt even
-		// when decoded sequentially.
-		entries, framesEnd, err := LoadIndex(src, int64(len(blob)), h, headerLen)
-		if err != nil {
-			return nil, nil, err
-		}
-		if framesEnd != w.Off {
-			return nil, nil, ErrCorrupt
-		}
-		for i, e := range entries {
-			if err := checkEntry(e, chunks[i].Entry); err != nil {
-				return nil, nil, err
-			}
-		}
-	} else if w.Off != int64(len(blob)) {
-		return nil, nil, ErrCorrupt
-	}
-	// Decode the first shard before allocating the full output, so a
-	// hostile header over bogus payloads fails before it can force the
-	// field-sized allocation. The shard slab is worker-context scratch;
-	// it is copied into the output before the context is recycled.
-	firstCtx := arena.Get()
-	first, err := DecompressShardCtx(firstCtx, dev, chunks[0].Info, chunks[0].Payload)
-	if err != nil {
-		arena.Put(firstCtx)
-		return nil, nil, err
-	}
-	out := ctx.F32(h.Total())
-	ps := planeSize(h.Dims)
-	copy(out, first) // chunk 0 starts at plane 0 (coverage validated above)
-	arena.Put(firstCtx)
-	ctxs := workerCtxs(dev.Workers(), len(chunks)-1)
-	defer releaseCtxs(ctxs)
-	_, err = pipeline.MapWorker(dev.Workers(), len(chunks)-1, func(w, i int) (struct{}, error) {
-		ctx := ctxs[w]
-		ctx.Reset()
-		c := chunks[i+1]
-		recon, err := DecompressShardCtx(ctx, dev, c.Info, c.Payload)
-		if err != nil {
-			return struct{}{}, err
-		}
-		copy(out[c.Info.Offset*ps:], recon)
-		return struct{}{}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, h.Dims, nil
-}
-
 // ---------------------------------------------------------------------------
 // Inspection.
 
@@ -1129,72 +1053,43 @@ type Info struct {
 
 // Inspect reads a container's headers (any format version).
 func Inspect(blob []byte) (*Info, error) {
-	if len(blob) < 6 || !bytes.Equal(blob[:4], magic[:]) {
-		return nil, ErrCorrupt
-	}
-	switch blob[4] {
-	case version:
-		r := bytes.NewReader(blob[6:])
-		nd, err := readUvarint(r)
-		if err != nil || nd == 0 || nd > 8 {
-			return nil, ErrCorrupt
-		}
-		info := &Info{Version: version, Dims: make([]int, nd)}
-		for i := range info.Dims {
-			v, err := readUvarint(r)
-			if err != nil || v == 0 || v > 1<<31 {
-				return nil, ErrCorrupt
-			}
-			info.Dims[i] = int(v)
-		}
-		var ebb [8]byte
-		if _, err := io.ReadFull(r, ebb[:]); err != nil {
-			return nil, ErrCorrupt
-		}
-		info.EB = math.Float64frombits(binary.LittleEndian.Uint64(ebb[:]))
-		return info, nil
-	case version2, version3, version4, version5:
-		src := bytes.NewReader(blob)
-		_, h, headerLen, err := OpenChunked(src, int64(len(blob)))
+	if ver, _ := SniffVersion(blob); ver < version2 || ver > version5 {
+		h, err := parseV1Header(nil, blob)
 		if err != nil {
 			return nil, err
 		}
-		info := &Info{Version: h.Version, Dims: h.Dims, EB: h.EB, RelEB: h.RelEB,
-			NumChunks: h.NumChunks, ChunkPlanes: h.ChunkPlanes}
-		if h.Version < version4 {
-			return info, nil
-		}
-		// Headers-only read of the seekable footer. It alone yields
-		// per-chunk observability: frame extents (offset deltas, closed by
-		// the footer offset) against raw plane bytes give each chunk's
-		// actual compression ratio, and for v5 the recorded codec IDs give
-		// the codec histogram — no payload is touched for either.
-		entries, footerOff, err := LoadIndex(src, int64(len(blob)), h, headerLen)
-		if err != nil {
-			return nil, err
-		}
-		info.HasIndex = true
-		ps := planeSize(h.Dims)
-		info.ChunkCRs = make([]float64, len(entries))
-		for i, e := range entries {
-			end := footerOff
-			if i+1 < len(entries) {
-				end = entries[i+1].FrameOff
-			}
-			if fb := end - e.FrameOff; fb > 0 {
-				info.ChunkCRs[i] = float64(4*e.Planes*ps) / float64(fb)
-			}
-		}
-		if h.Version >= version5 {
-			info.ChunkCodecs = make(map[string]int)
-			for _, e := range entries {
-				cd, _ := CodecByID(e.Codec) // registered: ParseChunkIndex validated it
-				info.ChunkCodecs[cd.Name()]++
-			}
-		}
+		return &Info{Version: version, Dims: h.dims, EB: h.eb}, nil
+	}
+	src := bytes.NewReader(blob)
+	_, h, headerLen, err := OpenChunked(src, int64(len(blob)))
+	if err != nil {
+		return nil, err
+	}
+	info := &Info{Version: h.Version, Dims: h.Dims, EB: h.EB, RelEB: h.RelEB,
+		NumChunks: h.NumChunks, ChunkPlanes: h.ChunkPlanes}
+	if h.Version < version4 {
 		return info, nil
 	}
-	// An unrecognized version byte is indistinguishable from corruption at
-	// this layer, so callers must be able to errors.Is it to ErrCorrupt.
-	return nil, fmt.Errorf("core: unsupported version %d: %w", blob[4], ErrCorrupt)
+	// Headers-only read of the seekable footer. It alone yields per-chunk
+	// observability: frame extents against raw plane bytes give each
+	// chunk's actual compression ratio, and for v5 the recorded codec IDs
+	// give the codec histogram — no payload is touched for either.
+	ix, err := LoadIndex(src, int64(len(blob)), h, headerLen)
+	if err != nil {
+		return nil, err
+	}
+	info.HasIndex = true
+	ps := planeSize(h.Dims)
+	info.ChunkCRs = make([]float64, len(ix.Entries))
+	for i, e := range ix.Entries {
+		info.ChunkCRs[i] = float64(4*e.Planes*ps) / float64(ix.End(i)-e.FrameOff)
+	}
+	if h.Version >= version5 {
+		info.ChunkCodecs = make(map[string]int)
+		for _, e := range ix.Entries {
+			cd, _ := CodecByID(e.Codec) // registered: ParseChunkIndex validated it
+			info.ChunkCodecs[cd.Name()]++
+		}
+	}
+	return info, nil
 }

@@ -451,74 +451,93 @@ func compressLorenzo(ctx *arena.Ctx, dev *gpusim.Device, out []byte, data []floa
 
 // DecompressCtx decodes any container, one-shot or chunked, returning the
 // reconstructed field and its dims, drawing working memory from ctx (nil
-// allocates). With a non-nil ctx the returned field and dims are context
-// scratch, valid until the next ctx.Reset — copy them out before
-// recycling the context.
+// allocates). A chunked container is indexed by OpenIndex and decoded by
+// DecodePlanes over all its planes, the driver random access uses too.
+// With a non-nil ctx the returned field and dims are context scratch,
+// valid until the next ctx.Reset — copy them out before recycling the
+// context.
 func DecompressCtx(ctx *arena.Ctx, dev *gpusim.Device, blob []byte) ([]float32, []int, error) {
-	return decompressPlanes(ctx, dev, blob, 0, math.MaxInt)
+	if ver, _ := SniffVersion(blob); ver < version2 || ver > version5 {
+		return decompressPlanes(ctx, dev, blob, 0, math.MaxInt)
+	}
+	_, ix, err := OpenIndex(bytes.NewReader(blob), int64(len(blob)))
+	if err != nil {
+		return nil, nil, err
+	}
+	field, err := ix.DecodePlanes(ctx, dev, nil, 0, ix.H.Dims[0], nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return field, ix.H.Dims, nil
 }
 
-// decompressPlanes is DecompressCtx restricted to planes [lo, min(hi,
-// dims[0])) along dims[0]: it returns those planes and the whole field's
-// dims. An interpolation payload reconstructs only the blocks owning the
-// planes; every other payload decodes whole and is sliced.
-func decompressPlanes(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, lo, hi int) ([]float32, []int, error) {
+// v1Header is a one-shot (v1) container's header.
+type v1Header struct {
+	pred  Predictor
+	dims  []int
+	total int
+	eb    float64
+	off   int // where the payload starts
+}
+
+// parseV1Header is the one v1 header parser: magic, version, predictor,
+// at most 8 dims of at most 2^31 each and 2^33 in total, and a positive,
+// finite eb. The dims are drawn from ctx (nil allocates).
+func parseV1Header(ctx *arena.Ctx, blob []byte) (v1Header, error) {
 	if len(blob) < 6 || !bytes.Equal(blob[:4], magic[:]) {
-		return nil, nil, ErrCorrupt
-	}
-	if blob[4] >= version2 && blob[4] <= version5 {
-		field, dims, err := decompressChunked(ctx, dev, blob)
-		if err != nil {
-			return nil, nil, err
-		}
-		if hi, err = clampPlanes(dims, lo, hi); err != nil {
-			return nil, nil, err
-		}
-		return planes(field, dims, lo, hi), dims, nil
+		return v1Header{}, ErrCorrupt
 	}
 	if blob[4] != version {
 		// An unknown version byte is wire data, not API misuse: the standing
 		// invariant says it must surface as ErrCorrupt, never a bare error.
-		return nil, nil, fmt.Errorf("core: unsupported version %d: %w", blob[4], ErrCorrupt)
+		return v1Header{}, fmt.Errorf("core: unsupported version %d: %w", blob[4], ErrCorrupt)
 	}
-	pred := Predictor(blob[5])
-	off := 6
-	nd64, n := bitio.Uvarint(blob[off:])
-	if n == 0 || nd64 == 0 || nd64 > 8 {
-		return nil, nil, ErrCorrupt
+	h := v1Header{pred: Predictor(blob[5]), total: 1, off: 6}
+	nd, n := bitio.Uvarint(blob[h.off:])
+	if n == 0 || nd == 0 || nd > 8 {
+		return v1Header{}, ErrCorrupt
 	}
-	off += n
-	dims := ctx.Ints(int(nd64))
-	total := 1
-	for i := range dims {
-		v, n := bitio.Uvarint(blob[off:])
+	h.off += n
+	h.dims = ctx.Ints(int(nd))
+	for i := range h.dims {
+		v, n := bitio.Uvarint(blob[h.off:])
 		if n == 0 || v == 0 || v > 1<<31 {
-			return nil, nil, ErrCorrupt
+			return v1Header{}, ErrCorrupt
 		}
-		off += n
-		dims[i] = int(v)
-		total *= int(v)
-		if total <= 0 || total > 1<<33 {
-			return nil, nil, ErrCorrupt
+		h.off += n
+		h.dims[i] = int(v)
+		if h.total *= int(v); h.total > 1<<33 {
+			return v1Header{}, ErrCorrupt
 		}
 	}
-	if off+8 > len(blob) {
-		return nil, nil, ErrCorrupt
+	if h.off+8 > len(blob) {
+		return v1Header{}, ErrCorrupt
 	}
-	eb := math.Float64frombits(binary.LittleEndian.Uint64(blob[off:]))
-	off += 8
-	if !(eb > 0) || math.IsInf(eb, 0) {
-		return nil, nil, ErrCorrupt
+	h.eb = math.Float64frombits(binary.LittleEndian.Uint64(blob[h.off:]))
+	h.off += 8
+	if !(h.eb > 0) || math.IsInf(h.eb, 0) {
+		return v1Header{}, ErrCorrupt
 	}
-	pc, ok := predictors[pred]
-	if !ok {
-		return nil, nil, ErrCorrupt // unknown predictor wire value
-	}
-	hi, err := clampPlanes(dims, lo, hi)
+	return h, nil
+}
+
+// decompressPlanes decodes planes [lo, min(hi, dims[0])) along dims[0] of
+// a one-shot (v1) container: it returns those planes and the whole field's
+// dims. An interpolation payload reconstructs only the blocks owning the
+// planes; every other payload decodes whole and is sliced.
+func decompressPlanes(ctx *arena.Ctx, dev *gpusim.Device, blob []byte, lo, hi int) ([]float32, []int, error) {
+	h, err := parseV1Header(ctx, blob)
 	if err != nil {
 		return nil, nil, err
 	}
-	recon, dims, err := pc.decompress(ctx, dev, blob, off, dims, total, eb, lo, hi)
+	pc, ok := predictors[h.pred]
+	if !ok {
+		return nil, nil, ErrCorrupt // unknown predictor wire value
+	}
+	if hi, err = clampPlanes(h.dims, lo, hi); err != nil {
+		return nil, nil, err
+	}
+	recon, dims, err := pc.decompress(ctx, dev, blob, h.off, h.dims, h.total, h.eb, lo, hi)
 	if err != nil && !errors.Is(err, ErrCorrupt) {
 		// The predictor and pipeline decoders judge wire bytes, so what
 		// they reject (a bad outlier section, a bad lossless stream) is

@@ -1,12 +1,19 @@
-// One frame walker for every chunked reader. The in-memory decoder, the
-// sequential stream reader, the random-access reader, the scrubber and the
-// crash-recovery scan all open a chunked (v2–v5) container's header with
-// OpenChunked, step through its frames with a FrameWalker, load its
-// v4/v5 footer with LoadIndex and compare footer entries with frames by
-// IndexEntry equality, so they cannot drift apart on what a valid
-// container is. They differ only in policy: what they do with a frame
-// whose header or CRC is bad (abort, fill, record and continue, or stop)
-// and whether they trust the footer.
+// One frame walker and one chunked read driver for every chunked reader.
+// Every reader opens a chunked (v2–v5) container's header with
+// OpenChunked, steps through its frames with a FrameWalker, loads its
+// v4/v5 footer with LoadIndex and compares footer entries with frames by
+// IndexEntry equality, so no two readers can disagree on what a valid
+// container is.
+//
+// The positioned readers go one step further and share a driver.
+// OpenIndex builds an Index over an io.ReaderAt: the footer of a v4/v5
+// container, or one walk of the frame headers of a v2/v3 one. DecodePlanes
+// then decodes any run of planes from it, chunk by chunk on the device's
+// workers. The in-memory decode (DecompressCtx) is DecodePlanes over all
+// planes of a bytes.Reader; the random-access reader (stream.ReaderAt) is
+// DecodePlanes over a window. The readers differ only in policy: what they
+// do with a frame whose header or CRC is bad (abort, fill, record and
+// continue, or stop) and whether they trust the footer.
 package core
 
 import (
@@ -15,6 +22,11 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sort"
+
+	"repro/internal/arena"
+	"repro/internal/gpusim"
+	"repro/internal/pipeline"
 )
 
 // MaxFrameHeaderLen bounds a chunk frame header: the plane offset and up
@@ -283,44 +295,194 @@ func readErr(err error) error {
 	return fmt.Errorf("core: container truncated (%v): %w", err, ErrCorrupt)
 }
 
+// Index locates every frame of a chunked container held by an
+// io.ReaderAt: the one structure DecodePlanes decodes from. Its entries
+// tile the header's planes in frame order, and frame i spans
+// [Entries[i].FrameOff, End(i)) with no gap between frames.
+type Index struct {
+	H         *ChunkedInfo
+	Entries   []IndexEntry
+	FramesEnd int64 // where the last frame ends: the footer, or the end of a footerless container
+	src       io.ReaderAt
+}
+
+// End returns where frame i ends: where the next frame starts, or
+// FramesEnd for the last.
+func (ix *Index) End(i int) int64 {
+	if i+1 < len(ix.Entries) {
+		return ix.Entries[i+1].FrameOff
+	}
+	return ix.FramesEnd
+}
+
+// Covering returns the run [a, b) of entries whose planes overlap
+// [lo, hi). The entries tile the planes in order, so the covering ones are
+// always one run.
+func (ix *Index) Covering(lo, hi int) (a, b int) {
+	a = sort.Search(len(ix.Entries), func(i int) bool { return ix.Entries[i].PlaneOff+ix.Entries[i].Planes > lo })
+	b = sort.Search(len(ix.Entries), func(i int) bool { return ix.Entries[i].PlaneOff >= hi })
+	return a, b
+}
+
+// OpenIndex is the one index opener of the positioned readers. For a
+// chunked container held by src (size bytes long) it reads the header and
+// builds its Index: from the footer of a v4/v5 container (LoadIndex), or
+// from one walk of a v2/v3 container's frame headers, which skips every
+// payload by offset arithmetic and must cover the header's chunks and
+// planes and end exactly at size. A one-shot v1 blob reports version 1 and
+// a nil index; anything that is not a container fails with ErrCorrupt.
+func OpenIndex(src io.ReaderAt, size int64) (int, *Index, error) {
+	ver, h, headerLen, err := OpenChunked(src, size)
+	if err != nil || h == nil {
+		return ver, nil, err
+	}
+	if h.Version >= version4 {
+		ix, err := LoadIndex(src, size, h, headerLen)
+		return ver, ix, err
+	}
+	// Entries grow with the frames walked: the header's chunk count is
+	// unproven until then.
+	ix := &Index{H: h, FramesEnd: size, src: src}
+	w := WalkAt(h, src, size, headerLen)
+	err = w.Walk(h.NumChunks, func(f Frame) error {
+		ix.Entries = append(ix.Entries, f.Entry)
+		return nil
+	})
+	if err == nil && (!w.Covered() || w.Off != size) {
+		err = ErrCorrupt // missing frames, a gap in plane coverage, or trailing bytes
+	}
+	if err != nil {
+		return ver, nil, err
+	}
+	return ver, ix, nil
+}
+
 // LoadIndex is the one v4/v5 footer loader. It reads the fixed tail of the
 // container held by src (size bytes long), follows its backpointer and
 // parses the index body against h, whose header is headerLen bytes: the
 // entries must tile h's planes and the first must start where the header
-// ends. It returns the entries and the offset where the frames end (the
-// footer starts). No frame bytes are read.
-func LoadIndex(src io.ReaderAt, size int64, h *ChunkedInfo, headerLen int64) ([]IndexEntry, int64, error) {
+// ends. The index's FramesEnd is where the footer starts. No frame bytes
+// are read.
+func LoadIndex(src io.ReaderAt, size int64, h *ChunkedInfo, headerLen int64) (*Index, error) {
 	if size < headerLen+IndexTailLen {
-		return nil, 0, fmt.Errorf("core: no room for the chunk index tail: %w", ErrCorrupt)
+		return nil, fmt.Errorf("core: no room for the chunk index tail: %w", ErrCorrupt)
 	}
 	var tail [IndexTailLen]byte
 	if err := ReadFullAt(src, tail[:], size-IndexTailLen); err != nil {
-		return nil, 0, readErr(err)
+		return nil, readErr(err)
 	}
 	footerOff, err := ParseChunkIndexTail(tail[:])
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if footerOff < headerLen || footerOff > size-IndexTailLen {
-		return nil, 0, fmt.Errorf("core: chunk index backpointer 0x%x outside the frames: %w", footerOff, ErrCorrupt)
+		return nil, fmt.Errorf("core: chunk index backpointer 0x%x outside the frames: %w", footerOff, ErrCorrupt)
 	}
 	// At most four uvarints per entry plus the count and CRC: a region
 	// wildly larger than that is hostile, not an index.
 	regionLen := size - IndexTailLen - footerOff
 	if regionLen > int64(h.NumChunks)*30+64 {
-		return nil, 0, fmt.Errorf("core: chunk index region oversized (%d bytes): %w", regionLen, ErrCorrupt)
+		return nil, fmt.Errorf("core: chunk index region oversized (%d bytes): %w", regionLen, ErrCorrupt)
 	}
 	region := make([]byte, regionLen)
 	if err := ReadFullAt(src, region, footerOff); err != nil {
-		return nil, 0, readErr(err)
+		return nil, readErr(err)
 	}
 	entries, err := ParseChunkIndex(region, h, footerOff)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if entries[0].FrameOff != headerLen {
-		return nil, 0, fmt.Errorf("core: first frame offset 0x%x disagrees with header end 0x%x: %w",
+		return nil, fmt.Errorf("core: first frame offset 0x%x disagrees with header end 0x%x: %w",
 			entries[0].FrameOff, headerLen, ErrCorrupt)
 	}
-	return entries, footerOff, nil
+	return &Index{H: h, Entries: entries, FramesEnd: footerOff, src: src}, nil
+}
+
+// DecodePlanes is the one chunked decode loop. It decodes planes [lo, hi)
+// of the field into dst, grown from ctx (nil allocates) when its capacity
+// is short, and returns it. Each covering chunk is decoded on one of dev's
+// workers: its frame is read whole with one ReadAt into a pooled context,
+// must prove its index entry, end where the next frame starts and pass its
+// CRC, and of an interpolation payload only the blocks owning requested
+// planes are reconstructed. A transient read error passes through as is; a
+// truncated frame is ErrCorrupt. When dst must grow, the first covering
+// chunk is decoded before the allocation, so a hostile header over junk
+// payloads fails before it can force a field-sized one.
+//
+// A failed chunk aborts the call with an error that names the chunk and
+// its offset, unless fault is set: then fault gets the chunk, the part of
+// dst it covers and the bare cause, and returns nil to carry on or an
+// error to abort. fault may run on several workers at once.
+func (ix *Index) DecodePlanes(ctx *arena.Ctx, dev *gpusim.Device, dst []float32, lo, hi int,
+	fault func(i int, span []float32, err error) error) ([]float32, error) {
+	need := (hi - lo) * planeSize(ix.H.Dims)
+	a, b := ix.Covering(lo, hi)
+	if cap(dst) >= need {
+		dst = dst[:need]
+	} else {
+		c, recon, err := ix.decodeChunk(dev, a, lo, hi)
+		if err == nil || fault != nil {
+			dst = ctx.F32(need)
+		}
+		err = ix.settle(dst, a, lo, hi, recon, err, fault)
+		arena.Put(c)
+		if err != nil {
+			return nil, err
+		}
+		a++
+	}
+	out, from := dst, a // never reassigned: the closure copies them, no heap cell
+	_, err := pipeline.MapWorker(dev.Workers(), b-from, func(_, j int) (struct{}, error) {
+		c, recon, err := ix.decodeChunk(dev, from+j, lo, hi)
+		err = ix.settle(out, from+j, lo, hi, recon, err, fault)
+		arena.Put(c)
+		return struct{}{}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// settle copies chunk i's planes within [lo, hi) into dst, which holds
+// planes [lo, hi), or applies DecodePlanes' failure policy to err; a strict
+// failure never touches dst.
+func (ix *Index) settle(dst []float32, i, lo, hi int, recon []float32, err error,
+	fault func(i int, span []float32, err error) error) error {
+	e := ix.Entries[i]
+	if err != nil && fault == nil {
+		return fmt.Errorf("core: chunk %d @0x%x: %w", i, e.FrameOff, err)
+	}
+	ps := planeSize(ix.H.Dims)
+	span := dst[(max(e.PlaneOff, lo)-lo)*ps : (min(e.PlaneOff+e.Planes, hi)-lo)*ps]
+	if err != nil {
+		return fault(i, span, err)
+	}
+	copy(span, recon)
+	return nil
+}
+
+// decodeChunk reads chunk i's frame into a pooled context, checks it and
+// decodes the chunk's planes within [lo, hi). The planes are scratch of
+// the returned context, which the caller recycles.
+func (ix *Index) decodeChunk(dev *gpusim.Device, i, lo, hi int) (*arena.Ctx, []float32, error) {
+	e, end := ix.Entries[i], ix.End(i)
+	ctx := arena.Get()
+	buf := ctx.Bytes(int(end - e.FrameOff))
+	if err := ReadFullAt(ix.src, buf, e.FrameOff); err != nil {
+		return ctx, nil, readErr(err)
+	}
+	// The payload stays a subslice of buf: no per-chunk copy.
+	w := WalkBlob(ix.H, buf, e.FrameOff, e.FrameOff)
+	f, err := w.NextEntry(e, end)
+	if err == nil {
+		err = w.VerifyCRC(f)
+	}
+	if err != nil {
+		return ctx, nil, err
+	}
+	s0, s1 := max(e.PlaneOff, lo), min(e.PlaneOff+e.Planes, hi)
+	recon, err := DecompressShardPlanesCtx(ctx, dev, f.Info, f.Payload, s0-e.PlaneOff, s1-e.PlaneOff)
+	return ctx, recon, err
 }

@@ -129,11 +129,11 @@ func footerState(src io.ReaderAt, rec *RecoveryInfo) FooterState {
 	hEff.Dims = append([]int(nil), rec.Header.Dims...)
 	hEff.Dims[0] = rec.Planes
 	hEff.NumChunks = len(rec.Entries)
-	entries, framesEnd, err := LoadIndex(src, rec.Size, &hEff, rec.HeaderLen)
-	if err != nil || framesEnd != rec.FramesEnd {
+	ix, err := LoadIndex(src, rec.Size, &hEff, rec.HeaderLen)
+	if err != nil || ix.FramesEnd != rec.FramesEnd {
 		return FooterTorn
 	}
-	for i, e := range entries {
+	for i, e := range ix.Entries {
 		if checkEntry(e, rec.Entries[i]) != nil {
 			return FooterTorn
 		}

@@ -467,6 +467,11 @@ func genRTM(dims []int, seed int64) []float32 {
 			k:   18 + 14*rng.Float64(),
 			amp: 0.5 + rng.Float64(),
 		}
+		if ny == 1 && nz == 1 {
+			// A line field samples only z = y = 0: centre each source on it,
+			// so every shell (r0 ≤ 0.45) crosses it inside x ∈ [0, 1).
+			srcs[i].cz, srcs[i].cy = 0, 0
+		}
 	}
 	out := make([]float32, nz*ny*nx)
 	idx := 0

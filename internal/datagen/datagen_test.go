@@ -258,8 +258,7 @@ func TestSpectralSlope(t *testing.T) {
 // TestGenerateFiniteAtEveryRank checks that every generator gives a
 // finite field at rank 1, at rank 2, with one z-plane and in 3-D: a unit
 // extent has no modes, so it must not set the spectral cutoff. The fields
-// must not be constant either, except rtm's along a line, which its
-// wavefront shells may miss.
+// must not be constant either.
 func TestGenerateFiniteAtEveryRank(t *testing.T) {
 	for _, name := range Names() {
 		for _, dims := range [][]int{{999}, {41, 77}, {1, 40, 40}, {9, 20, 24}} {
@@ -272,7 +271,7 @@ func TestGenerateFiniteAtEveryRank(t *testing.T) {
 					t.Fatalf("%s %v: non-finite value %v at %d", name, dims, v, i)
 				}
 			}
-			if _, _, rng := metrics.Range(f.Data); !(rng > 0) && (name != "rtm" || len(dims) > 1) {
+			if _, _, rng := metrics.Range(f.Data); !(rng > 0) {
 				t.Errorf("%s %v: value range %v", name, dims, rng)
 			}
 		}
