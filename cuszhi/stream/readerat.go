@@ -171,7 +171,7 @@ func (r *ReaderAt) ReadPlanes(dst []float32, lo, hi int) ([]float32, error) {
 	}
 	var mu sync.Mutex
 	var dmg []ChunkDamage
-	dst, err := r.ix.DecodePlanes(nil, r.dev, dst, lo, hi, func(i int, span []float32, err error) error {
+	dst, err := r.ix.DecodePlanes(nil, r.dev, dst, lo, hi, func(i int, span []float32, err error) {
 		for k := range span {
 			span[k] = r.fill
 		}
@@ -182,7 +182,6 @@ func (r *ReaderAt) ReadPlanes(dst []float32, lo, hi int) ([]float32, error) {
 		dmg = append(dmg, ChunkDamage{Chunk: i, Offset: e.FrameOff, PlaneOff: max(e.PlaneOff, lo),
 			Planes: len(span) / r.ps, Err: err})
 		mu.Unlock()
-		return nil
 	})
 	if err != nil || len(dmg) == 0 {
 		return dst, err

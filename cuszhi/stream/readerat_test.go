@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -527,6 +528,31 @@ func TestOpenReaderAtHostileInputs(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 	})
+	t.Run("v1 dims overflow", func(t *testing.T) {
+		// A one-shot header whose dims {4, 2^31, 2^31-1} multiply past
+		// 2^63: the product wraps negative, so the 2^33 cap must be checked
+		// before each multiplication. The Lorenzo payload is empty.
+		for _, last := range []uint64{1 << 31, 1<<31 - 1} {
+			b := append([]byte("cSZh"), 1, byte(core.PredLorenzo), 3)
+			for _, d := range []uint64{4, 1 << 31, last} {
+				b = binary.AppendUvarint(b, d)
+			}
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.1))
+			if _, _, err := core.DecompressCtx(nil, gpusim.New(1), b); !errors.Is(err, core.ErrCorrupt) {
+				t.Fatalf("DecompressCtx: err = %v", err)
+			}
+			if _, err := core.Inspect(b); !errors.Is(err, core.ErrCorrupt) {
+				t.Fatalf("Inspect: err = %v", err)
+			}
+			ra, err := open(b)
+			if err == nil {
+				_, err = ra.ReadPlanes(nil, 0, 1)
+			}
+			if !errors.Is(err, core.ErrCorrupt) {
+				t.Fatalf("ReaderAt: err = %v", err)
+			}
+		}
+	})
 	t.Run("garbage", func(t *testing.T) {
 		for _, b := range [][]byte{nil, []byte("xx"), []byte("cSZh"), bytes.Repeat([]byte{7}, 64)} {
 			if _, err := open(b); err == nil {
@@ -539,8 +565,8 @@ func TestOpenReaderAtHostileInputs(t *testing.T) {
 // TestHostileHeaderAllocGuard: a v4 container whose header declares 2^27
 // values in one chunk over a few junk payload bytes must fail with
 // ErrCorrupt on both whole-field paths before either allocates the 512 MiB
-// field: the in-memory decode and ReadPlanes with a nil dst both decode
-// the first chunk before growing the output.
+// field: the in-memory decode and ReadPlanes with a nil dst both grow the
+// output only once a chunk has decoded.
 func TestHostileHeaderAllocGuard(t *testing.T) {
 	dims := []int{2, 8192, 8192}
 	blob, err := core.AppendChunkedHeaderSized(nil, 4, dims, 0.01, false, dims[0], 0, 0)

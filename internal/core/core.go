@@ -504,11 +504,12 @@ func parseV1Header(ctx *arena.Ctx, blob []byte) (v1Header, error) {
 		if n == 0 || v == 0 || v > 1<<31 {
 			return v1Header{}, ErrCorrupt
 		}
+		if h.total > (1<<33)/int(v) {
+			return v1Header{}, ErrCorrupt // checked before the product, which could wrap
+		}
 		h.off += n
 		h.dims[i] = int(v)
-		if h.total *= int(v); h.total > 1<<33 {
-			return v1Header{}, ErrCorrupt
-		}
+		h.total *= int(v)
 	}
 	if h.off+8 > len(blob) {
 		return v1Header{}, ErrCorrupt

@@ -23,6 +23,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/arena"
 	"repro/internal/gpusim"
@@ -406,61 +407,49 @@ func LoadIndex(src io.ReaderAt, size int64, h *ChunkedInfo, headerLen int64) (*I
 // must prove its index entry, end where the next frame starts and pass its
 // CRC, and of an interpolation payload only the blocks owning requested
 // planes are reconstructed. A transient read error passes through as is; a
-// truncated frame is ErrCorrupt. When dst must grow, the first covering
-// chunk is decoded before the allocation, so a hostile header over junk
-// payloads fails before it can force a field-sized one.
+// truncated frame is ErrCorrupt. When dst must grow, the first chunk that
+// decodes allocates it, so a strict read of a hostile header over junk
+// payloads fails before it can force a field-sized allocation.
 //
 // A failed chunk aborts the call with an error that names the chunk and
 // its offset, unless fault is set: then fault gets the chunk, the part of
-// dst it covers and the bare cause, and returns nil to carry on or an
-// error to abort. fault may run on several workers at once.
+// dst it covers and the bare cause, and the loop carries on. fault may run
+// on several workers at once.
 func (ix *Index) DecodePlanes(ctx *arena.Ctx, dev *gpusim.Device, dst []float32, lo, hi int,
-	fault func(i int, span []float32, err error) error) ([]float32, error) {
-	need := (hi - lo) * planeSize(ix.H.Dims)
+	fault func(i int, span []float32, err error)) ([]float32, error) {
+	ps := planeSize(ix.H.Dims)
+	need := (hi - lo) * ps
 	a, b := ix.Covering(lo, hi)
-	if cap(dst) >= need {
-		dst = dst[:need]
-	} else {
-		c, recon, err := ix.decodeChunk(dev, a, lo, hi)
-		if err == nil || fault != nil {
-			dst = ctx.F32(need)
+	out := &struct { // one heap cell shared by the workers
+		grow sync.Once
+		dst  []float32
+	}{dst: dst}
+	_, err := pipeline.MapWorker(dev.Workers(), b-a, func(_, j int) (struct{}, error) {
+		i := a + j
+		c, recon, err := ix.decodeChunk(dev, i, lo, hi)
+		defer arena.Put(c)
+		e := ix.Entries[i]
+		if err != nil && fault == nil {
+			return struct{}{}, fmt.Errorf("core: chunk %d @0x%x: %w", i, e.FrameOff, err)
 		}
-		err = ix.settle(dst, a, lo, hi, recon, err, fault)
-		arena.Put(c)
+		out.grow.Do(func() {
+			if cap(out.dst) < need {
+				out.dst = ctx.F32(need)
+			}
+			out.dst = out.dst[:need]
+		})
+		span := out.dst[(max(e.PlaneOff, lo)-lo)*ps : (min(e.PlaneOff+e.Planes, hi)-lo)*ps]
 		if err != nil {
-			return nil, err
+			fault(i, span, err)
+		} else {
+			copy(span, recon)
 		}
-		a++
-	}
-	out, from := dst, a // never reassigned: the closure copies them, no heap cell
-	_, err := pipeline.MapWorker(dev.Workers(), b-from, func(_, j int) (struct{}, error) {
-		c, recon, err := ix.decodeChunk(dev, from+j, lo, hi)
-		err = ix.settle(out, from+j, lo, hi, recon, err, fault)
-		arena.Put(c)
-		return struct{}{}, err
+		return struct{}{}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// settle copies chunk i's planes within [lo, hi) into dst, which holds
-// planes [lo, hi), or applies DecodePlanes' failure policy to err; a strict
-// failure never touches dst.
-func (ix *Index) settle(dst []float32, i, lo, hi int, recon []float32, err error,
-	fault func(i int, span []float32, err error) error) error {
-	e := ix.Entries[i]
-	if err != nil && fault == nil {
-		return fmt.Errorf("core: chunk %d @0x%x: %w", i, e.FrameOff, err)
-	}
-	ps := planeSize(ix.H.Dims)
-	span := dst[(max(e.PlaneOff, lo)-lo)*ps : (min(e.PlaneOff+e.Planes, hi)-lo)*ps]
-	if err != nil {
-		return fault(i, span, err)
-	}
-	copy(span, recon)
-	return nil
+	return out.dst, nil
 }
 
 // decodeChunk reads chunk i's frame into a pooled context, checks it and
